@@ -7,6 +7,7 @@ logarithms are natural.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +27,7 @@ def is_prime_u64(n):
         raise ValueError(f"primality test limited to [0, 2^63), got {n}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -117,6 +118,15 @@ def sieve_primes(limit):
     return PrimeTable(limit=limit, primes=np.nonzero(sieve)[0].astype(np.int64))
 
 
+@lru_cache(maxsize=8)
+def primes_below(z):
+    """Primes strictly below the real cutoff z, ascending, as a tuple of ints.
+
+    Cached: every product and sum over primes l < z shares this one sieve.
+    """
+    return tuple(sieve_primes(math.ceil(z)).below(z))
+
+
 _cache_table = sieve_primes(1 << 10)
 
 
@@ -194,11 +204,7 @@ def primorial(w):
         raise ValueError(f"primorial requires w > 1, got {w}")
     if w > 10**7:
         raise ValueError(f"primorial cutoff too large for the sieve: {w}")
-    limit = int(math.ceil(w))
-    out = 1
-    for p in sieve_primes(limit).below(w):
-        out *= p
-    return out
+    return math.prod(primes_below(w))
 
 
 def von_mangoldt_table(limit):

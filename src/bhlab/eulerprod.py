@@ -10,16 +10,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import phi_table, sieve_primes
+from .arith import phi_table, primes_below
 from .poly import roots_count_mod_prime
 
 # Truncation standing in for the full prime product in reference values.
 FULL_PRODUCT_Z = 10**5
-
-
-@lru_cache(maxsize=8)
-def _primes_below(z):
-    return tuple(sieve_primes(int(math.ceil(z)) + 1).below(z))
 
 
 def truncated_bh_constant(P, z):
@@ -32,7 +27,7 @@ def truncated_bh_constant(P, z):
     if z <= 1:
         raise ValueError(f"cutoff must exceed 1, got {z}")
     acc = np.longdouble(1.0)
-    for ell in _primes_below(z):
+    for ell in primes_below(z):
         w = roots_count_mod_prime(P, ell)
         if w == ell:
             return 0.0
@@ -55,7 +50,7 @@ def reference_product(z):
     if z <= 1:
         raise ValueError(f"cutoff must exceed 1, got {z}")
     acc = np.longdouble(1.0)
-    for ell in _primes_below(z):
+    for ell in primes_below(z):
         acc *= 1 + np.longdouble(1.0) / (np.longdouble(ell) * (ell - 1))
     return float(acc)
 

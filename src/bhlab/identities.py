@@ -7,43 +7,22 @@ against a product side.  Left sides use exact rational arithmetic.
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import budgets
 from .arith import factorize, is_prime_u64, is_squarefree
-
-
-@lru_cache(maxsize=64)
-def _root_count_table(ell, d):
-    """Flat table T of length ell**(d+1) with T[key] = root count mod ell.
-
-    key encodes residue coefficients (c0, ..., cd) mod ell in mixed radix,
-    c0 least significant.  The identically-zero polynomial gets count ell
-    (every residue is a root), which the enumeration produces naturally.
-    """
-    size = ell ** (d + 1)
-    idx = np.arange(size, dtype=np.int64)
-    counts = np.zeros(size, dtype=np.int64)
-    for r in range(ell):
-        val = np.zeros(size, dtype=np.int64)
-        for j in range(d, -1, -1):
-            digit = idx // ell**j % ell
-            val = (val * r + digit) % ell
-        counts += val == 0
-    return counts
+from .poly import residue_key, root_count_table
 
 
 def residue_root_count(coeffs, ell):
     """Root count mod ell of the residue polynomial with these coefficients."""
     if not is_prime_u64(ell):
         raise ValueError(f"modulus must be prime, got {ell}")
-    key = 0
-    for c in reversed(tuple(coeffs)):
-        key = key * ell + c % ell
-    return int(_root_count_table(ell, len(tuple(coeffs)) - 1)[key])
+    coeffs = tuple(coeffs)
+    table = root_count_table(ell, len(coeffs) - 1)
+    return int(table[residue_key(coeffs, ell)])
 
 
 class OmegaMoment(NamedTuple):
@@ -64,7 +43,7 @@ def omega_moment(ell, d, j):
         raise ValueError(f"moment order must be 1 or 2, got {j}")
     budgets.check("residue moment enumeration", ell ** (d + 1),
                   budgets.residue_budget())
-    counts = _root_count_table(ell, d)
+    counts = root_count_table(ell, d)
     enumerated = int(np.sum(counts**j))
     closed = ell ** (d + 1) if j == 1 else ell**d * (2 * ell - 1)
     return OmegaMoment(enumerated=enumerated, closed_form=closed)
@@ -73,6 +52,39 @@ def omega_moment(ell, d, j):
 class AveragePair(NamedTuple):
     direct: object
     product: object
+
+
+def _residue_family_sums(g, k, d, label):
+    """Both sides of the sum over P0 in (Z/kZ)[t], deg <= d, of
+    prod_{l | k} g(P0 mod l, l).
+
+    g is tabulated once per prime l | k over the l**(d+1) residue tuples.
+    The direct side enumerates every tuple mod k and reduces it mod each l
+    before the lookup (no Chinese remainder shortcut); the product side
+    multiplies the per-prime table sums.
+    """
+    if k < 1:
+        raise ValueError(f"modulus must be positive, got {k}")
+    if not is_squarefree(k):
+        raise ValueError(f"modulus must be squarefree, got {k}")
+    budgets.check(label, k ** (d + 1), budgets.residue_budget())
+    local = []  # (residues of 0..k-1 mod l, {residue tuple mod l: g})
+    for ell, _ in factorize(k):
+        table = {coeffs: g(coeffs, ell)
+                 for coeffs in itertools.product(range(ell), repeat=d + 1)}
+        local.append(([c % ell for c in range(k)], table))
+
+    direct = 0
+    for coeffs in itertools.product(range(k), repeat=d + 1):
+        term = 1
+        for residues, table in local:
+            term *= table[tuple(map(residues.__getitem__, coeffs))]
+        direct += term
+
+    product = 1
+    for _, table in local:
+        product *= sum(table.values())
+    return direct, product
 
 
 def multiplicative_average(g, k, d):
@@ -86,29 +98,8 @@ def multiplicative_average(g, k, d):
     g takes (coeff tuple reduced mod l, l) and may return any numeric type
     (Fraction included); sums stay in that type.
     """
-    if k < 1:
-        raise ValueError(f"modulus must be positive, got {k}")
-    if not is_squarefree(k):
-        raise ValueError(f"modulus must be squarefree, got {k}")
-    budgets.check("residue average enumeration", k ** (d + 1),
-                  budgets.residue_budget())
-    primes = [ell for ell, _ in factorize(k)] if k > 1 else []
-
-    direct = 0
-    for coeffs in itertools.product(range(k), repeat=d + 1):
-        term = 1
-        for ell in primes:
-            term *= g(tuple(c % ell for c in coeffs), ell)
-        direct += term
-    if k == 1:
-        direct = 1  # single constant class, empty product
-
-    product = 1
-    for ell in primes:
-        local = 0
-        for coeffs in itertools.product(range(ell), repeat=d + 1):
-            local += g(coeffs, ell)
-        product *= local
+    direct, product = _residue_family_sums(
+        g, k, d, "residue average enumeration")
     return AveragePair(direct=direct, product=product)
 
 
@@ -124,26 +115,14 @@ def squared_factor_sum(k, d):
     w = root count of P0 mod l, in exact rationals.  Right: the closed form
     prod_{l|k} (2*l**d - 2*l**(d-1) + l**(d-2)).
     """
-    if k < 1:
-        raise ValueError(f"modulus must be positive, got {k}")
-    if not is_squarefree(k):
-        raise ValueError(f"modulus must be squarefree, got {k}")
-    budgets.check("residue squared-factor enumeration", k ** (d + 1),
-                  budgets.residue_budget())
-    primes = [ell for ell, _ in factorize(k)] if k > 1 else []
+    def local_factor(coeffs, ell):
+        w = residue_root_count(coeffs, ell)
+        return Fraction(2 * w, ell) - Fraction(w * w, ell * ell)
 
-    enumerated = Fraction(0)
-    for coeffs in itertools.product(range(k), repeat=d + 1):
-        term = Fraction(1)
-        for ell in primes:
-            w = residue_root_count(tuple(c % ell for c in coeffs), ell)
-            term *= Fraction(2 * w, ell) - Fraction(w * w, ell * ell)
-        enumerated += term
-    if k == 1:
-        enumerated = Fraction(1)
-
+    enumerated, _ = _residue_family_sums(
+        local_factor, k, d, "residue squared-factor enumeration")
     closed = Fraction(1)
-    for ell in primes:
+    for ell, _ in factorize(k):
         closed *= (2 * Fraction(ell) ** d - 2 * Fraction(ell) ** (d - 1)
                    + Fraction(ell) ** (d - 2))
-    return FactorSumPair(enumerated=enumerated, closed_form=closed)
+    return FactorSumPair(enumerated=Fraction(enumerated), closed_form=closed)

@@ -7,17 +7,18 @@ order, optionally fanned out over threads.
 """
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import budgets
-from .arith import (euler_phi, is_prime_u64, sieve_primes, von_mangoldt,
+from .arith import (euler_phi, is_prime_u64, primes_below, von_mangoldt,
                     von_mangoldt_table)
-from .poly import (FamilySpec, coefficient_chunks, eval_poly, value_bound,
-                   CHUNK_SIZE)
+from .poly import (coefficient_chunks, eval_poly, residue_key,
+                   root_count_table, value_bound)
 
 # Largest von Mangoldt table any family accumulator will build.
 _MAX_TABLE = 2 * 10**8
@@ -236,12 +237,13 @@ class MomentReport:
 
 
 def _omega_lookup_tables(d, z):
-    """Per-prime flat root-count tables for all primes below z."""
-    from .identities import _root_count_table
-    tables = {}
-    for ell in sieve_primes(int(math.ceil(z))).below(z):
-        tables[ell] = _root_count_table(ell, d)
-    return tables
+    """Per-prime flat root-count tables for all primes below z, refused
+    before any is built when sum_{l<z} l**(d+1) exceeds the residue budget."""
+    primes = primes_below(z)
+    budgets.check("root-count tables for the singular series",
+                  sum(ell ** (d + 1) for ell in primes),
+                  budgets.residue_budget())
+    return {ell: root_count_table(ell, d) for ell in primes}
 
 
 def _chunk_stats(rows, x, lam_table, omega_tables, psi_kind, center):
@@ -264,10 +266,7 @@ def _chunk_stats(rows, x, lam_table, omega_tables, psi_kind, center):
     if center == "bh":
         series = np.ones(n, dtype=np.float64)
         for ell, table in omega_tables.items():
-            key = np.zeros(n, dtype=np.int64)
-            for j in range(width - 1, -1, -1):
-                key = key * ell + rows[:, j] % ell
-            w = table[key]
+            w = table[residue_key(rows.T, ell)]
             series *= (ell - w) / (ell - 1.0)
     else:
         series = np.zeros(n, dtype=np.float64)
@@ -291,14 +290,33 @@ def _psi_kind(use_abs, abs_from_one):
     return "abs_from_one" if abs_from_one else "abs"
 
 
+def _ordered_map(fn, items, threads):
+    """Yield fn(item) in input order, computed on `threads` worker threads.
+
+    Unlike Executor.map, which submits every item at once, at most `threads`
+    calls are pending, so at most threads + 1 items are alive at a time.
+    """
+    threads = max(threads, 1)  # threads < 1 runs on one worker
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for item in items:
+            if len(pending) == threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+
+
 def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
                   threads=1):
     """Family second moment of psi_P(x) - x * S_P(z), fully decomposed.
 
     Accumulates, per visited polynomial, the selected psi variant, the
     truncated singular series S_P(z), and the five decomposition pieces.
-    Monte Carlo mode adds a delete-one jackknife standard error of the
-    mean direct term.
+    Chunks run on `threads` worker threads and merge in traversal order,
+    so the result does not depend on `threads`.  Monte Carlo mode adds the
+    standard error of the mean direct term from the sample variance; for a
+    mean this equals the delete-one jackknife standard error.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
@@ -307,38 +325,21 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     x = int(x)
     bound = value_bound(spec.d, spec.H, x)
     budgets.check("von Mangoldt table for the family moment", bound, _MAX_TABLE)
-    lam_table = von_mangoldt_table(max(bound, 1))
     omega_tables = _omega_lookup_tables(spec.d, z) if center == "bh" else {}
+    lam_table = von_mangoldt_table(max(bound, 1))
     psi_kind = _psi_kind(use_abs, abs_from_one)
-
-    totals = {k: [] for k in
-              ("diag", "nondiag", "cross", "ssq", "direct", "direct_sq")}
-    count = 0
 
     def work(item):
         _, rows = item
         return _chunk_stats(rows, x, lam_table, omega_tables, psi_kind, center)
 
-    chunks = coefficient_chunks(spec)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(work, chunks)
-            for stats in results:
-                for k in totals:
-                    totals[k].append(stats[k])
-                count += stats["count"]
-    else:
-        for item in chunks:
-            stats = work(item)
-            for k in totals:
-                totals[k].append(stats[k])
-            count += stats["count"]
-
-    raw = {k: math.fsum(totals[k]) for k in MomentReport.FIELDS}
+    chunks = list(_ordered_map(work, coefficient_chunks(spec), threads))
+    raw = {k: math.fsum(c[k] for c in chunks) for k in MomentReport.FIELDS}
+    count = sum(c["count"] for c in chunks)
     mc_stderr = None
     if spec.mode == "montecarlo" and count > 1:
         mean = raw["direct"] / count
-        ssq = math.fsum(totals["direct_sq"])
+        ssq = math.fsum(c["direct_sq"] for c in chunks)
         var = max(ssq - count * mean * mean, 0.0) / (count - 1)
         mc_stderr = math.sqrt(var / count)
 

@@ -7,8 +7,8 @@ draws from a counter-based generator, so any chunk of draws can be
 regenerated independently.
 """
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,6 +71,15 @@ def value_bound(d, H, x):
     return (d + 1) * H * max(1, x) ** d
 
 
+def _horner_mod(coeffs, r, ell):
+    """sum_j coeffs[j] * r**j mod ell by Horner's rule; coeffs and r are
+    residues mod ell (scalars or broadcasting int64 arrays)."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * r + c) % ell
+    return acc
+
+
 def roots_count_mod_prime(P, ell):
     """Number of residues r mod ell with P(r) = 0, by direct enumeration.
 
@@ -79,12 +88,33 @@ def roots_count_mod_prime(P, ell):
     """
     if not is_prime_u64(ell):
         raise ValueError(f"modulus must be prime, got {ell}")
-    coeffs = np.array([c % ell for c in P.coeffs], dtype=np.int64)
     r = np.arange(ell, dtype=np.int64)
-    acc = np.zeros(ell, dtype=np.int64)
+    values = _horner_mod([c % ell for c in P.coeffs], r, ell)
+    return int(np.count_nonzero(values == 0))
+
+
+def residue_key(coeffs, ell):
+    """Mixed-radix index of coefficients (c0, ..., cd) reduced mod ell, c0
+    least significant; entries are ints or int64 columns (vectorised)."""
+    key = 0
     for c in reversed(coeffs):
-        acc = (acc * r + c) % ell
-    return int(np.count_nonzero(acc == 0))
+        key = key * ell + c % ell
+    return key
+
+
+@lru_cache(maxsize=64)
+def root_count_table(ell, d):
+    """Flat table T of length ell**(d+1) with T[key] = root count mod ell.
+
+    key = residue_key((c0, ..., cd), ell).  The identically-zero polynomial
+    gets count ell (every residue is a root), which the enumeration
+    produces naturally.  Cached and shared, so returned read-only.
+    """
+    idx = np.arange(ell ** (d + 1), dtype=np.int64)
+    digits = [idx // ell**j % ell for j in range(d + 1)]
+    counts = sum(_horner_mod(digits, r, ell) == 0 for r in range(ell))
+    counts.flags.writeable = False
+    return counts
 
 
 def roots_count_mod_squarefree(P, k):

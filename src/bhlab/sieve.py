@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .arith import sieve_primes
+from .arith import primes_below
 from .poly import roots_count_mod_prime
 
 _MAX_SUPPORT_PRIMES = 24  # 2**24 subset enumerations; far beyond desk scale
@@ -76,7 +76,7 @@ def build_brun_weights(w, y, parity, level=None):
         level = truncation_level(w, y, parity)
     elif level % 2 != (0 if parity == "upper" else 1):
         raise ValueError(f"level {level} has the wrong parity for {parity}")
-    primes = sieve_primes(int(math.ceil(w))).below(w)
+    primes = primes_below(w)
     if len(primes) > _MAX_SUPPORT_PRIMES:
         raise ValueError(f"prime cutoff w={w} gives an unmanageable support")
     table = {1: 1}
@@ -110,14 +110,12 @@ def sandwich_check(lower, upper, n_max):
         raise ValueError("pass (lower, upper) weights in that order")
     lo = np.zeros(n_max + 1, dtype=np.int64)
     hi = np.zeros(n_max + 1, dtype=np.int64)
-    for k, lam in lower.table.items():
-        if k <= n_max:
-            lo[k::k] += lam
-    for k, lam in upper.table.items():
-        if k <= n_max:
-            hi[k::k] += lam
+    for sums, weights in ((lo, lower), (hi, upper)):
+        for k, lam in weights.table.items():
+            if k <= n_max:
+                sums[k::k] += lam
     ind = np.ones(n_max + 1, dtype=np.int64)
-    for p in sieve_primes(int(math.ceil(lower.w))).below(lower.w):
+    for p in primes_below(lower.w):
         ind[p::p] = 0
     bad = np.nonzero((lo[1:] > ind[1:]) | (hi[1:] < ind[1:]))[0] + 1
     return SandwichReport(
@@ -127,6 +125,23 @@ def sandwich_check(lower, upper, n_max):
     )
 
 
+def _weighted_sum(weights, density):
+    """sum_k lambda_k prod_{l | k} density(l) over the support, by fsum.
+
+    Support values are products of distinct primes below w, so the primes
+    below w that divide k are exactly its prime factors.
+    """
+    primes = primes_below(weights.w)
+    terms = []
+    for k in weights.support:
+        val = 1.0
+        for ell in primes:
+            if k % ell == 0:
+                val *= density(ell)
+        terms.append(weights.table[k] * val)
+    return math.fsum(terms)
+
+
 def sieve_sum(weights, h):
     """Weighted sum of the density h over the support.
 
@@ -134,30 +149,13 @@ def sieve_sum(weights, h):
     the squarefree support.  With the truncation inactive this telescopes
     to the product of (1 - h(l)) over primes below w.
     """
-    terms = []
-    for k in weights.support:
-        lam = weights.table[k]
-        val = 1.0
-        if k > 1:
-            for ell in _prime_factors_in_support(k, weights.w):
-                hv = h(ell)
-                if not 0.0 <= hv < 1.0:
-                    raise ValueError(f"density out of [0,1) at prime {ell}: {hv}")
-                val *= hv
-        terms.append(lam * val)
-    return math.fsum(terms)
+    def checked(ell):
+        hv = h(ell)
+        if not 0.0 <= hv < 1.0:
+            raise ValueError(f"density out of [0,1) at prime {ell}: {hv}")
+        return hv
 
-
-def _prime_factors_in_support(k, w):
-    # Support values are products of distinct primes below w by
-    # construction; trial division by those primes is exact.
-    out = []
-    for p in sieve_primes(int(math.ceil(w))).below(w):
-        if k % p == 0:
-            out.append(p)
-            k //= p
-    assert k == 1
-    return out
+    return _weighted_sum(weights, checked)
 
 
 class NeutralisedBounds(NamedTuple):
@@ -180,29 +178,19 @@ def neutralised_bounds(P, z, lower, upper, squared=True):
             or upper.parity != "upper":
         raise ValueError("pass (lower, upper) weights built with equal y")
     fhat = {}
-    for ell in sieve_primes(int(math.ceil(z))).below(z):
-        w_count = roots_count_mod_prime(P, ell)
-        if squared:
-            fhat[ell] = 2 * w_count / ell - (w_count / ell) ** 2
-        else:
-            fhat[ell] = w_count / ell
-
-    def weighted(weights):
-        terms = []
-        for k in weights.support:
-            val = 1.0
-            for ell in _prime_factors_in_support(k, weights.w):
-                val *= fhat[ell]
-            terms.append(weights.table[k] * val)
-        return math.fsum(terms)
-
-    return NeutralisedBounds(lower=weighted(lower), upper=weighted(upper))
+    for ell in primes_below(z):
+        share = roots_count_mod_prime(P, ell) / ell
+        fhat[ell] = 2 * share - share ** 2 if squared else share
+    # fhat(l) = 1 where w_P(l) = l, so the [0, 1) check of sieve_sum does
+    # not apply here.
+    return NeutralisedBounds(lower=_weighted_sum(lower, fhat.__getitem__),
+                             upper=_weighted_sum(upper, fhat.__getitem__))
 
 
 def density_product(w, h):
     """Direct product of (1 - h(l)) over primes below w (telescoping oracle)."""
     acc = np.longdouble(1.0)
-    for ell in sieve_primes(int(math.ceil(w))).below(w):
+    for ell in primes_below(w):
         acc *= 1 - np.longdouble(h(ell))
     return float(acc)
 
@@ -210,7 +198,7 @@ def density_product(w, h):
 def truncated_density_product(P, z, squared=True):
     """prod_{l<z} (1 - w_P(l)/l)**(2 or 1), the quantity the bounds bracket."""
     acc = np.longdouble(1.0)
-    for ell in sieve_primes(int(math.ceil(z))).below(z):
+    for ell in primes_below(z):
         f = 1 - roots_count_mod_prime(P, ell) / np.longdouble(ell)
         acc *= f * f if squared else f
     return float(acc)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from bhlab.arith import (chebyshev_psi, euler_phi, factorize, integer_root,
                          is_prime_u64, mobius, omega_distinct, phi_table,
-                         primorial, sieve_primes, von_mangoldt,
+                         primes_below, primorial, sieve_primes, von_mangoldt,
                          von_mangoldt_table)
 
 
@@ -51,6 +51,15 @@ class TestSieve:
         table = sieve_primes(100)
         assert table.below(7) == [2, 3, 5]
         assert table.below(7.5) == [2, 3, 5, 7]
+
+    @pytest.mark.parametrize("z", [2, 2.5, 3, 3.0, 7.2, 100, 30000])
+    def test_primes_below_matches_table(self, z):
+        want = sieve_primes(math.ceil(z)).below(z)
+        assert primes_below(z) == tuple(want)
+        assert all(type(p) is int for p in primes_below(z))
+
+    def test_primes_below_is_cached(self):
+        assert primes_below(1000) is primes_below(1000)
 
     def test_membership(self):
         table = sieve_primes(50)

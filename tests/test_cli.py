@@ -80,6 +80,21 @@ class TestMoment:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_root_count_tables_over_budget_exit_3(self, monkeypatch, capsys):
+        # z defaults to x = 1000: the Lambda table would fit its limit, the
+        # root-count tables for d = 2 (sum of l**3 over l < 1000) do not
+        from bhlab import moments
+        built = []
+        monkeypatch.setattr(moments, "von_mangoldt_table", built.append)
+        monkeypatch.setattr(moments, "root_count_table",
+                            lambda ell, d: built.append((ell, d)))
+        code = main(["moment", "--d", "2", "--H", "50", "--x", "1000"])
+        assert code == 3
+        assert built == []
+        err = capsys.readouterr().err
+        assert err.startswith("budget refusal: root-count tables")
+        assert "BHLAB_BUDGET" in err
+
     def test_config_file_under_flags(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("H = 1\nx = 1\nz = 2\nd = 2\n")

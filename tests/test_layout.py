@@ -1,0 +1,44 @@
+"""Layout rules for src/bhlab, checked on the syntax tree of every module.
+
+Each shared concept has one implementation: modules reach each other only
+through public names, and primes below a cutoff come from arith alone.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bhlab"
+TREES = {path.stem: ast.parse(path.read_text(), filename=str(path))
+         for path in sorted(SRC.glob("*.py"))}
+
+
+def test_sources_found():
+    assert {"arith", "poly", "moments", "sieve"} <= TREES.keys()
+
+
+def test_no_private_name_imported_from_another_module():
+    offenders = []
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            package = (node.module or "").split(".")[0]
+            if node.level == 0 and package != "bhlab":
+                continue
+            offenders += [f"{module}:{node.lineno} imports {alias.name}"
+                          for alias in node.names
+                          if alias.name.startswith("_")]
+    assert offenders == []
+
+
+def test_sieve_primes_called_only_in_arith():
+    callers = set()
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                if name == "sieve_primes":
+                    callers.add(module)
+    assert callers == {"arith"}

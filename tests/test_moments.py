@@ -1,14 +1,18 @@
 import math
+import threading
+import time
 
 import pytest
 
 from bhlab.arith import chebyshev_psi, von_mangoldt_table
+from bhlab import moments
 from bhlab.budgets import BudgetError
 from bhlab.eulerprod import truncated_bh_constant
 from bhlab.moments import (ap_error, bv_average, diagonal_term, lambda_terms,
                            negative_part, nondiagonal_term, psi, psi_abs,
                            second_moment, theta)
-from bhlab.poly import FamilySpec, IntPolynomial, eval_poly, iter_family
+from bhlab.poly import (CHUNK_SIZE, FamilySpec, IntPolynomial, eval_poly,
+                        iter_family)
 from conftest import random_polynomial
 
 LOG2, LOG3, LOG5, LOG7 = (math.log(p) for p in (2, 3, 5, 7))
@@ -244,6 +248,73 @@ class TestSecondMoment:
             second_moment(FamilySpec(d=2, H=2), -1, 5)
         with pytest.raises(ValueError):
             second_moment(FamilySpec(d=2, H=2), 5, 1)
+
+
+class TestChunkMerge:
+    @pytest.mark.parametrize("spec", [
+        FamilySpec(d=2, H=40),
+        FamilySpec(d=2, H=1000, mode="montecarlo",
+                   sample_count=3 * CHUNK_SIZE + 7, seed=11),
+    ], ids=["exhaustive", "montecarlo"])
+    def test_thread_counts_agree_on_many_chunks(self, spec):
+        assert spec.visit_count > 2 * CHUNK_SIZE  # at least three chunks
+        reps = [second_moment(spec, 3, 5, threads=t) for t in (1, 2, 3)]
+        assert reps[0].raw == reps[1].raw == reps[2].raw
+        assert reps[0].mc_stderr == reps[1].mc_stderr == reps[2].mc_stderr
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_chunks_in_flight_are_bounded(self, monkeypatch, threads):
+        real_chunks = moments.coefficient_chunks
+        real_stats = moments._chunk_stats
+        lock = threading.Lock()
+        seen = {"made": 0, "done": 0, "peak": 0}
+
+        def chunks(spec):
+            for item in real_chunks(spec, chunk_size=64):
+                with lock:
+                    seen["made"] += 1
+                    seen["peak"] = max(seen["peak"],
+                                       seen["made"] - seen["done"])
+                yield item
+
+        def stats(*args):
+            time.sleep(0.002)  # slower workers than producer
+            out = real_stats(*args)
+            with lock:
+                seen["done"] += 1
+            return out
+
+        monkeypatch.setattr(moments, "coefficient_chunks", chunks)
+        monkeypatch.setattr(moments, "_chunk_stats", stats)
+        spec = FamilySpec(d=2, H=8)
+        rep = second_moment(spec, 5, 5, threads=threads)
+        assert seen["made"] == seen["done"] == math.ceil(spec.family_size / 64)
+        assert seen["peak"] <= threads + 1
+        assert rep.raw == second_moment(spec, 5, 5).raw
+
+
+class TestRootCountBudget:
+    def test_refused_before_any_table(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(moments, "von_mangoldt_table", built.append)
+        monkeypatch.setattr(moments, "root_count_table",
+                            lambda ell, d: built.append((ell, d)))
+        # sum over primes l < 1000 of l**3 is far above the residue budget
+        with pytest.raises(BudgetError, match="root-count tables"):
+            second_moment(FamilySpec(d=2, H=50), 1000, 1000)
+        assert built == []
+
+    def test_budget_follows_environment(self, monkeypatch):
+        # primes below 30: sum of l**3 is 52359
+        spec = FamilySpec(d=2, H=2)
+        monkeypatch.setenv("BHLAB_BUDGET", "52358")
+        with pytest.raises(BudgetError, match="52359"):
+            second_moment(spec, 3, 30)
+        monkeypatch.setenv("BHLAB_BUDGET", "52359")
+        assert second_moment(spec, 3, 30).visit_count == spec.family_size
+        # no singular series, no root-count tables; 50 is the family size
+        monkeypatch.setenv("BHLAB_BUDGET", "50")
+        assert second_moment(spec, 3, 30, center="none").visit_count == 50
 
 
 class TestNondiagonalTerm:

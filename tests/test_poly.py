@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from bhlab.budgets import BudgetError
 from bhlab.poly import (CHUNK_SIZE, FamilySpec, IntPolynomial,
                         coefficient_chunks, eval_poly, iter_family,
-                        roots_count_mod_prime, roots_count_mod_squarefree,
+                        residue_key, root_count_table, roots_count_mod_prime,
+                        roots_count_mod_squarefree,
                         traverse_family, value_bound)
 from conftest import random_polynomial
 
@@ -55,6 +57,22 @@ class TestRootsCount:
             for ell in (2, 3, 5, 7, 11):
                 direct = sum(eval_poly(P, r) % ell == 0 for r in range(ell))
                 assert roots_count_mod_prime(P, ell) == direct
+
+    @pytest.mark.parametrize("ell,d", [(2, 1), (3, 2), (5, 2), (7, 1)])
+    def test_table_matches_scalar_count(self, ell, d):
+        # mixed-radix key, c0 least significant; trailing zeros are dropped
+        # so every residue tuple is a valid IntPolynomial
+        table = root_count_table(ell, d)
+        assert len(table) == ell ** (d + 1)
+        assert not table.flags.writeable  # cached, shared by every caller
+        for key, coeffs in enumerate(
+                itertools.product(range(ell), repeat=d + 1)):
+            coeffs = coeffs[::-1]
+            assert residue_key(coeffs, ell) == key
+            while len(coeffs) > 1 and coeffs[-1] == 0:
+                coeffs = coeffs[:-1]
+            assert table[key] == roots_count_mod_prime(
+                IntPolynomial(coeffs), ell), coeffs
 
     def test_bounded_by_degree(self, rng):
         for _ in range(200):

@@ -172,6 +172,20 @@ class TestNeutralisedBounds:
             assert got.lower <= direct + slack
             assert direct <= got.upper + slack
 
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_every_residue_a_root_at_two(self, squared):
+        # t + t^2 = t(t+1) vanishes mod 2 at both residues: w_P(2) = 2 and
+        # fhat(2) = 1, outside the [0, 1) range sieve_sum requires
+        P = IntPolynomial((0, 1, 1))
+        for z in (3, 5, 12, 20):
+            lower = build_brun_weights(z, 1e3, "lower")
+            upper = build_brun_weights(z, 1e3, "upper")
+            got = neutralised_bounds(P, z, lower, upper, squared=squared)
+            direct = truncated_density_product(P, z, squared=squared)
+            assert direct == 0.0
+            assert got.lower <= direct + 1e-12
+            assert direct <= got.upper + 1e-12
+
     def test_cutoff_mismatch(self):
         P = IntPolynomial((1, 0, 1))
         lower = build_brun_weights(6, 100, "lower")
