@@ -167,6 +167,10 @@ def cmd_psi(args, config):
     return 0
 
 
+class UsageError(Exception):
+    """Bad command-line input, reported in one line with exit code 2."""
+
+
 def _moment_rows(args, config):
     d = _resolve(args, config, "d", 2, int)
     H = _resolve(args, config, "H", None, int)
@@ -176,17 +180,26 @@ def _moment_rows(args, config):
     seed = _resolve(args, config, "seed", 0, int)
     center = _resolve(args, config, "center", "bh", str)
     threads = _resolve(args, config, "threads", 1, int)
-    xs = [int(v) for v in
-          str(_resolve(args, config, "x", None, str)).split(",")]
+    x_raw = _resolve(args, config, "x", None, str)
     z_raw = _resolve(args, config, "z", None, str)
-    zs = None if z_raw is None else [float(v) for v in str(z_raw).split(",")]
     if H is None:
-        raise SystemExit(2)
+        raise UsageError("moment requires --H")
+    if x_raw is None:
+        raise UsageError("moment requires --x")
+    if threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {threads}")
     mode = {"mc": "montecarlo"}.get(mode, mode)
-    if mode == "montecarlo":
-        spec = FamilySpec(d=d, H=H, mode=mode, sample_count=samples, seed=seed)
-    else:
-        spec = FamilySpec(d=d, H=H)
+    try:
+        xs = [int(v) for v in str(x_raw).split(",")]
+        zs = None if z_raw is None else [float(v) for v in
+                                         str(z_raw).split(",")]
+        if mode == "montecarlo":
+            spec = FamilySpec(d=d, H=H, mode=mode, sample_count=samples,
+                              seed=seed)
+        else:
+            spec = FamilySpec(d=d, H=H)
+    except ValueError as exc:
+        raise UsageError(exc) from None
     header = [("d", d), ("H", H), ("x", xs),
               ("z", zs if zs is not None else f"x^gamma (gamma={gamma})"),
               ("gamma", gamma), ("mode", mode), ("center", center),
@@ -195,13 +208,19 @@ def _moment_rows(args, config):
               ("samples", samples if mode == "montecarlo" else None),
               ("seed", seed if mode == "montecarlo" else None),
               ("threads", threads)]
+    points = [(x, z) for x in xs
+              for z in (zs if zs is not None else [max(float(x), 2.0) ** gamma])]
+    for x, z in points:  # refused before any grid point runs
+        if x < 0:
+            raise UsageError(f"x must be >= 0, got {x}")
+        if not z > 1:
+            raise UsageError(f"z must exceed 1, got {z}")
     rows = []
-    for x in xs:
-        for z in (zs if zs is not None else [max(float(x), 2.0) ** gamma]):
-            rep = moments.second_moment(
-                spec, x, z, center=center, use_abs=args.abs,
-                abs_from_one=args.abs_from_one, threads=threads)
-            rows.append(rep.to_dict())
+    for x, z in points:
+        rep = moments.second_moment(
+            spec, x, z, center=center, use_abs=args.abs,
+            abs_from_one=args.abs_from_one, threads=threads)
+        rows.append(rep.to_dict())
     return header, rows
 
 
@@ -312,6 +331,9 @@ def main(argv=None):
     except budgets.BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 3
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,7 +3,10 @@
 Scalar operations (psi, psi_abs, theta, negative_part) work on a single
 polynomial.  The family-level accumulators (second_moment, nondiagonal_term)
 run vectorized over fixed-size coefficient chunks with a deterministic merge
-order, optionally fanned out over threads.
+order, optionally fanned out over threads.  Within a chunk the polynomials
+that share a head (c1, ..., cd) differ only in c0, so P(m) = Q(m) + c0 with
+Q evaluated once per head, and the values are formed in row tiles of a
+fixed size, so memory does not grow with x.
 """
 
 import math
@@ -236,38 +239,100 @@ class MomentReport:
         return out
 
 
-def _omega_lookup_tables(d, z):
-    """Per-prime flat root-count tables for all primes below z, refused
-    before any is built when sum_{l<z} l**(d+1) exceeds the residue budget."""
-    primes = primes_below(z)
-    budgets.check("root-count tables for the singular series",
-                  sum(ell ** (d + 1) for ell in primes),
-                  budgets.residue_budget())
-    return {ell: root_count_table(ell, d) for ell in primes}
+def _euler_factor_tables(d, z):
+    """Per-prime singular-series factor tables (l - w) / (l - 1.0) for all
+    primes l below z, indexed like root_count_table.
+
+    Refused before any table is built, and before sieving past the budget,
+    when sum_{l<z} l**(d+1) exceeds the residue budget: a prime above
+    isqrt(budget) alone exceeds it, so primes are sieved only up to that
+    cap, and one prime in [cap, z), if there is one, settles the refusal.
+    """
+    budget = budgets.residue_budget()
+    cap = math.isqrt(budget) + 1
+    primes = primes_below(min(z, cap))
+    requested = sum(ell ** (d + 1) for ell in primes)
+    ell = cap
+    while ell < z and not is_prime_u64(ell):
+        ell += 1
+    if ell < z:
+        requested += ell ** (d + 1)
+    budgets.check("root-count tables for the singular series", requested,
+                  budget)
+    return {ell: (ell - root_count_table(ell, d)) / (ell - 1.0)
+            for ell in primes}
 
 
-def _chunk_stats(rows, x, lam_table, omega_tables, psi_kind, center):
-    """Per-chunk unnormalized sums of the five decomposition pieces."""
-    n, width = rows.shape
-    m = np.arange(1, x + 1, dtype=np.int64)
-    vals = np.zeros((n, x), dtype=np.int64)
-    for j in range(width - 1, -1, -1):
-        vals = vals * m + rows[:, j : j + 1]
-    lam = lam_table[np.abs(vals)]
-    if psi_kind == "psi":
-        lam = np.where(vals > 0, lam, 0.0)
+# Row tile of the exhaustive and Monte Carlo kernel, in value entries: the
+# int64 values and float64 Lambda terms of one tile take 8 MB each.
+_TILE = 1 << 20
+
+
+def _head_values(heads, m):
+    """Q(m) = sum_{j>=1} c_j m**j for each head row (c1, ..., cd), by
+    Horner's rule in int64 (exact below the value bound)."""
+    acc = np.zeros((len(heads), len(m)), dtype=np.int64)
+    for j in range(heads.shape[1] - 1, -1, -1):
+        acc += heads[:, j : j + 1]
+        acc *= m
+    return acc
+
+
+def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
+                 center):
+    """Per-chunk unnormalized sums of the five decomposition pieces.
+
+    The rows sharing a head (c1, ..., cd) differ only in c0, so P(m) =
+    Q(m) + c0 with Q evaluated once per head.  In exhaustive mode (base =
+    2H + 1) the heads come from the traversal order: row i of the chunk
+    has head (start + i) // base, and heads may straddle chunks.  Monte
+    Carlo chunks (base None) make every row its own head.  Values are
+    formed in row tiles of about _TILE entries (one row once x exceeds it),
+    so the working set does not grow with x.
+    """
+    n = len(rows)
+    c0 = rows[:, :1]
+    if base is None:
+        heads, head_of_row = rows[:, 1:], None
     else:
-        lam = np.where(vals != 0, lam, 0.0)
+        first = start // base
+        head_of_row = (start + np.arange(n, dtype=np.int64)) // base - first
+        lead = np.maximum((first + np.arange(head_of_row[-1] + 1)) * base
+                          - start, 0)
+        heads = rows[lead, 1:]
+
+    m = np.arange(1, x + 1, dtype=np.int64)
+    psi_vec = np.empty(n, dtype=np.float64)
+    diag_vec = np.empty(n, dtype=np.float64)
+    step = max(_TILE // max(x, 1), 1)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        if head_of_row is None:
+            vals = _head_values(heads[a:b], m)
+        else:
+            lo = head_of_row[a]
+            q = _head_values(heads[lo : head_of_row[b - 1] + 1], m)
+            vals = q[head_of_row[a:b] - lo]
+        vals += c0[a:b]
+        # Lambda-table entry 0 is 0, which drops P(m) <= 0 (psi) or P(m) = 0
+        if psi_kind == "psi":
+            np.maximum(vals, 0, out=vals)
+        else:
+            np.abs(vals, out=vals)
+        lam = lam_table[vals]
         if psi_kind == "abs":
             lam[:, :1] = 0.0  # literal range starts at m = 2
-    psi_vec = lam.sum(axis=1)
-    diag_vec = (lam * lam).sum(axis=1)
+        psi_vec[a:b] = lam.sum(axis=1)
+        lam *= lam
+        diag_vec[a:b] = lam.sum(axis=1)
 
     if center == "bh":
         series = np.ones(n, dtype=np.float64)
-        for ell, table in omega_tables.items():
-            w = table[residue_key(rows.T, ell)]
-            series *= (ell - w) / (ell - 1.0)
+        for ell, factors in factor_tables.items():
+            key = residue_key(heads.T, ell)
+            if head_of_row is not None:
+                key = key[head_of_row]
+            series *= factors[key * ell + c0[:, 0] % ell]
     else:
         series = np.zeros(n, dtype=np.float64)
 
@@ -313,25 +378,30 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
 
     Accumulates, per visited polynomial, the selected psi variant, the
     truncated singular series S_P(z), and the five decomposition pieces.
-    Chunks run on `threads` worker threads and merge in traversal order,
-    so the result does not depend on `threads`.  Monte Carlo mode adds the
+    Each chunk evaluates Q(m) = sum_{j>=1} c_j m**j once per head (c1, ...,
+    cd) and adds c0 per row, in row tiles of about 2**20 values, so each
+    worker's temporaries stay near 16 MB whatever x is.  Chunks run on
+    `threads` worker threads and merge in traversal order, so the result
+    does not depend on `threads`.  Monte Carlo mode adds the
     standard error of the mean direct term from the sample variance; for a
     mean this equals the delete-one jackknife standard error.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    if z <= 1:
+    if not z > 1:  # nan included
         raise ValueError(f"z must exceed 1, got {z}")
     x = int(x)
     bound = value_bound(spec.d, spec.H, x)
     budgets.check("von Mangoldt table for the family moment", bound, _MAX_TABLE)
-    omega_tables = _omega_lookup_tables(spec.d, z) if center == "bh" else {}
+    factor_tables = _euler_factor_tables(spec.d, z) if center == "bh" else {}
     lam_table = von_mangoldt_table(max(bound, 1))
     psi_kind = _psi_kind(use_abs, abs_from_one)
+    base = 2 * spec.H + 1 if spec.mode == "exhaustive" else None
 
     def work(item):
-        _, rows = item
-        return _chunk_stats(rows, x, lam_table, omega_tables, psi_kind, center)
+        start, rows = item
+        return _chunk_stats(start, rows, base, x, lam_table, factor_tables,
+                            psi_kind, center)
 
     chunks = list(_ordered_map(work, coefficient_chunks(spec), threads))
     raw = {k: math.fsum(c[k] for c in chunks) for k in MomentReport.FIELDS}

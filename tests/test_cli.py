@@ -95,6 +95,22 @@ class TestMoment:
         assert err.startswith("budget refusal: root-count tables")
         assert "BHLAB_BUDGET" in err
 
+    def test_huge_z_refused_without_sieving_past_the_cap(self, monkeypatch,
+                                                         capsys):
+        # a prime above isqrt(budget) alone exceeds the residue budget
+        from bhlab import budgets, moments
+        sieved = []
+        real = moments.primes_below
+        monkeypatch.setattr(moments, "primes_below",
+                            lambda z: sieved.append(z) or real(z))
+        code = main(["moment", "--d", "2", "--H", "2", "--x", "3",
+                     "--z", "3e7"])
+        assert code == 3
+        assert sieved
+        assert max(sieved) <= math.isqrt(budgets.residue_budget()) + 1
+        err = capsys.readouterr().err
+        assert err.startswith("budget refusal: root-count tables")
+
     def test_config_file_under_flags(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("H = 1\nx = 1\nz = 2\nd = 2\n")
@@ -130,6 +146,24 @@ class TestBv:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("--d", "0", "--H", "2", "--x", "3"),
+        ("--H", "2", "--x", "3", "--mode", "mc", "--samples", "0"),
+        ("--H", "2", "--x", "-3"),
+        ("--H", "2", "--x", "3", "--z", "1"),
+        ("--H", "2", "--x", "3", "--threads", "0"),
+        ("--d", "2", "--x", "3"),
+    ], ids=["d-0", "samples-0", "x-negative", "z-1", "threads-0",
+            "missing-H"])
+    def test_moment_refusal_is_one_line(self, capsys, argv):
+        code = main(["moment", *argv])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ")
+        assert "Traceback" not in err
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

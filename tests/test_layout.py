@@ -42,3 +42,14 @@ def test_sieve_primes_called_only_in_arith():
                 if name == "sieve_primes":
                     callers.add(module)
     assert callers == {"arith"}
+
+
+def test_moment_kernel_gathers_without_masks():
+    # the kernel clamps values into the Lambda table, whose entry 0 is 0,
+    # instead of masking the gathered terms afterwards
+    kernel = next(node for node in ast.walk(TREES["moments"])
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_chunk_stats")
+    wheres = [node.lineno for node in ast.walk(kernel)
+              if isinstance(node, ast.Attribute) and node.attr == "where"]
+    assert wheres == []

@@ -1,7 +1,9 @@
 import math
 import threading
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from bhlab.arith import chebyshev_psi, von_mangoldt_table
@@ -11,8 +13,9 @@ from bhlab.eulerprod import truncated_bh_constant
 from bhlab.moments import (ap_error, bv_average, diagonal_term, lambda_terms,
                            negative_part, nondiagonal_term, psi, psi_abs,
                            second_moment, theta)
-from bhlab.poly import (CHUNK_SIZE, FamilySpec, IntPolynomial, eval_poly,
-                        iter_family)
+from bhlab.poly import (CHUNK_SIZE, FamilySpec, IntPolynomial,
+                        coefficient_chunks, eval_poly, iter_family,
+                        residue_key, root_count_table, value_bound)
 from conftest import random_polynomial
 
 LOG2, LOG3, LOG5, LOG7 = (math.log(p) for p in (2, 3, 5, 7))
@@ -293,6 +296,89 @@ class TestChunkMerge:
         assert rep.raw == second_moment(spec, 5, 5).raw
 
 
+def _rowwise_chunk_stats(rows, x, lam_table, omega_tables, psi_kind, center):
+    """Reference kernel: full Horner on every row, masked Lambda gather."""
+    n, width = rows.shape
+    m = np.arange(1, x + 1, dtype=np.int64)
+    vals = np.zeros((n, x), dtype=np.int64)
+    for j in range(width - 1, -1, -1):
+        vals = vals * m + rows[:, j : j + 1]
+    lam = lam_table[np.abs(vals)]
+    if psi_kind == "psi":
+        lam = np.where(vals > 0, lam, 0.0)
+    else:
+        lam = np.where(vals != 0, lam, 0.0)
+        if psi_kind == "abs":
+            lam[:, :1] = 0.0
+    psi_vec = lam.sum(axis=1)
+    diag_vec = (lam * lam).sum(axis=1)
+
+    if center == "bh":
+        series = np.ones(n, dtype=np.float64)
+        for ell, table in omega_tables.items():
+            w = table[residue_key(rows.T, ell)]
+            series *= (ell - w) / (ell - 1.0)
+    else:
+        series = np.zeros(n, dtype=np.float64)
+
+    dev = psi_vec - x * series
+    direct_vec = dev * dev
+    return {
+        "diag": float(diag_vec.sum()),
+        "nondiag": float((psi_vec * psi_vec - diag_vec).sum()),
+        "cross": float((psi_vec * series).sum()),
+        "ssq": float((series * series).sum()),
+        "direct": float(direct_vec.sum()),
+        "direct_sq": float((direct_vec * direct_vec).sum()),
+        "count": n,
+    }
+
+
+class TestHeadSharedKernel:
+    X, Z = 7, 12
+
+    def _assert_chunks_equal_oracle(self, spec, chunk_size, base):
+        lam = von_mangoldt_table(value_bound(spec.d, spec.H, self.X))
+        factors = moments._euler_factor_tables(spec.d, self.Z)
+        counts = {ell: root_count_table(ell, spec.d) for ell in factors}
+        for start, rows in coefficient_chunks(spec, chunk_size=chunk_size):
+            for kind in ("psi", "abs", "abs_from_one"):
+                for center in ("bh", "none"):
+                    got = moments._chunk_stats(start, rows, base, self.X, lam,
+                                               factors, kind, center)
+                    want = _rowwise_chunk_stats(rows, self.X, lam, counts,
+                                                kind, center)
+                    assert got == want, (start, kind, center)
+
+    # tile of 5 rows: heads of 17 rows straddle tiles as well as chunks
+    @pytest.mark.parametrize("tile", [None, 5 * X], ids=["tile", "tiny-tile"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_exhaustive_chunks_equal_rowwise_oracle(self, monkeypatch, d,
+                                                    tile):
+        if tile is not None:
+            monkeypatch.setattr(moments, "_TILE", tile)
+        spec = FamilySpec(d=d, H=8)  # base 17 does not divide the chunk size
+        self._assert_chunks_equal_oracle(spec, 64, 17)
+
+    @pytest.mark.parametrize("tile", [None, 5 * X], ids=["tile", "tiny-tile"])
+    def test_montecarlo_chunk_equals_rowwise_oracle(self, monkeypatch, tile):
+        if tile is not None:
+            monkeypatch.setattr(moments, "_TILE", tile)
+        spec = FamilySpec(d=3, H=1000, mode="montecarlo", sample_count=500,
+                          seed=7)
+        self._assert_chunks_equal_oracle(spec, CHUNK_SIZE, None)
+
+    def test_threaded_exhaustive_memory_is_bounded(self):
+        # the row-wise kernel peaks near 560 MB here: 65536 x 300 temporaries
+        tracemalloc.start()
+        try:
+            second_moment(FamilySpec(d=1, H=200), 300, 20, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+
+
 class TestRootCountBudget:
     def test_refused_before_any_table(self, monkeypatch):
         built = []
@@ -315,6 +401,30 @@ class TestRootCountBudget:
         # no singular series, no root-count tables; 50 is the family size
         monkeypatch.setenv("BHLAB_BUDGET", "50")
         assert second_moment(spec, 3, 30, center="none").visit_count == 50
+
+    @pytest.mark.parametrize("budget,d", [(13, 1), (1000, 1), (1000, 2)])
+    def test_capped_sieve_refuses_as_the_full_sum(self, monkeypatch, budget,
+                                                  d):
+        # primes are sieved below isqrt(budget) + 1 only (4 and 32 here);
+        # at budget 13 no prime lies in [4, 5), where z must still pass
+        monkeypatch.setenv("BHLAB_BUDGET", str(budget))
+        cap = math.isqrt(budget) + 1
+        sieved = []
+        real = moments.primes_below
+        monkeypatch.setattr(moments, "primes_below",
+                            lambda z: sieved.append(z) or real(z))
+        for z in (k / 2 for k in range(3, 160)):
+            full = sum(ell ** (d + 1) for ell in real(z))
+            if full > budget:
+                with pytest.raises(BudgetError) as exc:
+                    moments._euler_factor_tables(d, z)
+                assert budget < exc.value.requested <= full
+                if z <= cap:
+                    assert exc.value.requested == full
+            else:
+                assert list(moments._euler_factor_tables(d, z)) == list(
+                    real(z))
+        assert max(sieved) <= cap
 
 
 class TestNondiagonalTerm:
