@@ -127,29 +127,17 @@ def primes_below(z):
     return tuple(sieve_primes(math.ceil(z)).below(z))
 
 
-_cache_table = sieve_primes(1 << 10)
-
-
-def _primes_for_factoring(n):
-    """Cached prime table covering sqrt(n), grown by doubling."""
-    global _cache_table
-    need = math.isqrt(n)
-    if _cache_table.limit < need:
-        limit = _cache_table.limit
-        while limit < need:
-            limit *= 2
-        _cache_table = sieve_primes(limit)
-    return _cache_table
-
-
 def factorize(n):
     """Prime factorization [(l, exponent), ...] by trial division."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    table = _primes_for_factoring(n)
+    # the trial divisors cover isqrt(n); the limit is a power of two, never
+    # prime, so the primes below it are the primes up to it
+    limit = 1 << 10
+    while limit < math.isqrt(n):
+        limit *= 2
     out = []
-    for p in table.primes:
-        p = int(p)
+    for p in primes_below(limit):
         if p * p > n:
             break
         if n % p == 0:

@@ -1,8 +1,9 @@
-"""Enumeration budgets and the refusal exception.
+"""Enumeration budgets and the refusal exceptions.
 
 Every brute-force enumeration in the library is guarded by a budget so a
 typo'd parameter fails fast instead of running for hours.  The environment
 variable BHLAB_BUDGET (a positive integer) overrides all defaults at once.
+A fixed size limit, which it does not lift, is refused with LimitError.
 """
 
 import os
@@ -15,14 +16,21 @@ DEFAULT_PROGRESSION_BUDGET = 10**6  # sieve limit X for progression error sums
 class BudgetError(Exception):
     """An enumeration was refused because it exceeds its budget."""
 
+    _limit = "budget {} (override with BHLAB_BUDGET)"
+
     def __init__(self, name, requested, budget):
         self.name = name
         self.requested = requested
         self.budget = budget
-        super().__init__(
-            f"{name}: requested size {requested} exceeds budget {budget} "
-            f"(override with BHLAB_BUDGET)"
-        )
+        super().__init__(f"{name}: requested size {requested} exceeds "
+                         + self._limit.format(budget))
+
+
+class LimitError(BudgetError):
+    """A table was refused because it exceeds a fixed size limit, one that
+    BHLAB_BUDGET does not lift."""
+
+    _limit = "the fixed limit {}"
 
 
 def _env_override():
@@ -51,6 +59,7 @@ def progression_budget():
 
 
 def check(name, requested, budget):
-    """Raise BudgetError when requested exceeds budget."""
+    """Raise BudgetError when requested exceeds budget, one of the budgets
+    above that BHLAB_BUDGET overrides."""
     if requested > budget:
         raise BudgetError(name, requested, budget)

@@ -5,10 +5,18 @@ single-polynomial sums, the family second moment (CSV/JSON emission), and
 progression-error averages.  Every run echoes its resolved configuration
 into the output header; numeric output carries 15 significant digits.
 
+Each value flag declares its type and builtin default once, in
+build_parser.  A --config file of key = value lines sets defaults for the
+subcommand's value flags; argparse runs them through the flags' own types,
+so a flag beats the config file, which beats the builtin default.
+
 Exit codes: 0 success, 1 failed checks, 2 usage errors, 3 budget refusals.
+Every subcommand refuses bad input with one `usage error: ...` line and a
+budget overrun with one `budget refusal: ...` line on stderr.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -26,18 +34,40 @@ def fmt(value):
     return f"{value:.15g}"
 
 
-def _parse_poly(text):
-    try:
-        coeffs = tuple(int(c) for c in text.split(","))
-    except ValueError:
-        raise SystemExit(2)
-    return IntPolynomial(coeffs)
+def int_list(text):
+    return [int(v) for v in text.split(",")]
 
 
-def _load_config(path):
+def float_list(text):
+    return [float(v) for v in text.split(",")]
+
+
+def polynomial(text):
+    """IntPolynomial from comma-separated c0,c1,...,cd."""
+    return IntPolynomial(tuple(int_list(text)))
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose errors are one `usage error: ...` line with exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"usage error: {message}\n")
+
+    def set_config(self, command, config):
+        """Make config strings the defaults of `command`'s value flags.
+
+        argparse runs a string default through the flag's type, and a flag
+        given on the command line still wins.  Switches (store_true flags)
+        and keys `command` does not take are ignored.
+        """
+        (commands,) = [a.choices for a in self._actions if a.dest == "command"]
+        sub = commands[command]
+        sub.set_defaults(**{a.dest: config[a.dest] for a in sub._actions
+                            if a.nargs is None and a.dest in config})
+
+
+def _read_config(path):
     config = {}
-    if path is None:
-        return config
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -48,14 +78,10 @@ def _load_config(path):
     return config
 
 
-def _resolve(args, config, key, builtin, cast):
-    """Flag > config file > builtin default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return cast(config[key])
-    return builtin
+def _require(args, *names):
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"{args.command} requires {' and '.join(missing)}")
 
 
 def _echo_header(out, pairs):
@@ -63,7 +89,7 @@ def _echo_header(out, pairs):
         print(f"# {key} = {value}", file=out)
 
 
-def cmd_identities(args, config):
+def cmd_identities(args):
     failures = 0
 
     def report(name, ok):
@@ -101,20 +127,18 @@ def cmd_identities(args, config):
     return 1 if failures else 0
 
 
-def cmd_sieve_check(args, config):
-    n_max = _resolve(args, config, "n_max", 10**5, int)
-    w_grid = [float(w) for w in
-              _resolve(args, config, "w_grid", "6,12,20", str).split(",")]
-    y_grid = [float(y) for y in
-              _resolve(args, config, "y_grid", "50,1e3,1e5", str).split(",")]
+def cmd_sieve_check(args):
+    n_max, w_grid, y_grid = args.n_max, args.w_grid, args.y_grid
+    # the whole grid is built first, so a bad grid is refused before output
+    weights = {(w, y): [sieve.build_brun_weights(w, y, parity)
+                        for parity in ("lower", "upper")]
+               for w in w_grid for y in y_grid}
     _echo_header(sys.stdout, [("n_max", n_max), ("w_grid", w_grid),
                               ("y_grid", y_grid)])
     failures = 0
     for w in w_grid:
         for y in y_grid:
-            lower = sieve.build_brun_weights(w, y, "lower")
-            upper = sieve.build_brun_weights(w, y, "upper")
-            rep = sieve.sandwich_check(lower, upper, n_max)
+            rep = sieve.sandwich_check(*weights[w, y], n_max)
             ok = rep.violations == 0
             failures += not ok
             print(f"{'PASS' if ok else 'FAIL'}  sandwich w={w} y={y} "
@@ -136,23 +160,17 @@ def cmd_sieve_check(args, config):
     return 1 if failures else 0
 
 
-def cmd_singular_series(args, config):
-    P = _parse_poly(_resolve(args, config, "poly", None, str))
-    z = _resolve(args, config, "z", None, float)
-    if z is None:
-        print("singular-series requires --z", file=sys.stderr)
-        return 2
-    _echo_header(sys.stdout, [("poly", P.coeffs), ("z", z)])
-    print(f"value = {fmt(eulerprod.truncated_bh_constant(P, z))}")
+def cmd_singular_series(args):
+    _require(args, "poly", "z")
+    value = eulerprod.truncated_bh_constant(args.poly, args.z)
+    _echo_header(sys.stdout, [("poly", args.poly.coeffs), ("z", args.z)])
+    print(f"value = {fmt(value)}")
     return 0
 
 
-def cmd_psi(args, config):
-    P = _parse_poly(_resolve(args, config, "poly", None, str))
-    x = _resolve(args, config, "x", None, int)
-    if x is None:
-        print("psi requires --x", file=sys.stderr)
-        return 2
+def cmd_psi(args):
+    _require(args, "poly", "x")
+    P, x = args.poly, args.x
     if args.theta:
         kind, value = "theta", moments.theta(P, x)
     elif args.neg:
@@ -167,70 +185,45 @@ def cmd_psi(args, config):
     return 0
 
 
-class UsageError(Exception):
-    """Bad command-line input, reported in one line with exit code 2."""
-
-
-def _moment_rows(args, config):
-    d = _resolve(args, config, "d", 2, int)
-    H = _resolve(args, config, "H", None, int)
-    gamma = _resolve(args, config, "gamma", 1.0, float)
-    mode = _resolve(args, config, "mode", "exhaustive", str)
-    samples = _resolve(args, config, "samples", 10**5, int)
-    seed = _resolve(args, config, "seed", 0, int)
-    center = _resolve(args, config, "center", "bh", str)
-    threads = _resolve(args, config, "threads", 1, int)
-    x_raw = _resolve(args, config, "x", None, str)
-    z_raw = _resolve(args, config, "z", None, str)
-    if H is None:
-        raise UsageError("moment requires --H")
-    if x_raw is None:
-        raise UsageError("moment requires --x")
-    if threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {threads}")
-    mode = {"mc": "montecarlo"}.get(mode, mode)
-    try:
-        xs = [int(v) for v in str(x_raw).split(",")]
-        zs = None if z_raw is None else [float(v) for v in
-                                         str(z_raw).split(",")]
-        if mode == "montecarlo":
-            spec = FamilySpec(d=d, H=H, mode=mode, sample_count=samples,
-                              seed=seed)
-        else:
-            spec = FamilySpec(d=d, H=H)
-    except ValueError as exc:
-        raise UsageError(exc) from None
-    header = [("d", d), ("H", H), ("x", xs),
-              ("z", zs if zs is not None else f"x^gamma (gamma={gamma})"),
-              ("gamma", gamma), ("mode", mode), ("center", center),
-              ("psi_variant",
-               moments._psi_kind(args.abs, args.abs_from_one)),
-              ("samples", samples if mode == "montecarlo" else None),
-              ("seed", seed if mode == "montecarlo" else None),
-              ("threads", threads)]
+def _moment_rows(args):
+    _require(args, "H", "x")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    d, H, xs, zs, gamma = args.d, args.H, args.x, args.z, args.gamma
+    mode = {"mc": "montecarlo"}.get(args.mode, args.mode)
+    if mode == "montecarlo":
+        spec = FamilySpec(d=d, H=H, mode=mode, sample_count=args.samples,
+                          seed=args.seed)
+    else:
+        spec = FamilySpec(d=d, H=H)
     points = [(x, z) for x in xs
               for z in (zs if zs is not None else [max(float(x), 2.0) ** gamma])]
     for x, z in points:  # refused before any grid point runs
         if x < 0:
-            raise UsageError(f"x must be >= 0, got {x}")
+            raise ValueError(f"x must be >= 0, got {x}")
         if not z > 1:
-            raise UsageError(f"z must exceed 1, got {z}")
+            raise ValueError(f"z must exceed 1, got {z}")
     rows = []
     for x, z in points:
         rep = moments.second_moment(
-            spec, x, z, center=center, use_abs=args.abs,
-            abs_from_one=args.abs_from_one, threads=threads)
+            spec, x, z, center=args.center, use_abs=args.abs,
+            abs_from_one=args.abs_from_one, threads=args.threads)
         rows.append(rep.to_dict())
+    header = [("d", d), ("H", H), ("x", xs),
+              ("z", zs if zs is not None else f"x^gamma (gamma={gamma})"),
+              ("gamma", gamma), ("mode", mode), ("center", args.center),
+              ("psi_variant", rows[0]["psi_variant"]),
+              ("samples", args.samples if mode == "montecarlo" else None),
+              ("seed", args.seed if mode == "montecarlo" else None),
+              ("threads", args.threads)]
     return header, rows
 
 
-def cmd_moment(args, config):
-    header, rows = _moment_rows(args, config)
-    fmt_name = _resolve(args, config, "format", "csv", str)
-    out_path = _resolve(args, config, "out", None, str)
-    out = open(out_path, "w", newline="") if out_path else sys.stdout
-    try:
-        if fmt_name == "json":
+def cmd_moment(args):
+    header, rows = _moment_rows(args)
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        if args.format == "json":
             payload = {"config": {k: v for k, v in header}, "rows": rows}
             json.dump(payload, out, indent=2, default=str)
             out.write("\n")
@@ -241,18 +234,14 @@ def cmd_moment(args, config):
             for row in rows:
                 writer.writerow({k: fmt(v) if isinstance(v, float) else v
                                  for k, v in row.items()})
-    finally:
-        if out_path:
-            out.close()
     return 0
 
 
-def cmd_bv(args, config):
-    X = _resolve(args, config, "X", None, int)
-    Q = _resolve(args, config, "Q", None, int)
-    if X is None or Q is None:
-        print("bv requires --X and --Q", file=sys.stderr)
-        return 2
+def cmd_bv(args):
+    _require(args, "X", "Q")
+    X, Q = args.X, args.Q
+    if X < 2:  # the trend ratio below divides by log X
+        raise ValueError(f"bv requires X >= 2, got {X}")
     value = moments.bv_average(X, Q)
     _echo_header(sys.stdout, [("X", X), ("Q", Q)])
     print(f"value = {fmt(value)}")
@@ -264,7 +253,7 @@ def cmd_bv(args, config):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bhlab",
         description="Desk-scale experiments on averaged prime-counting sums "
                     "over polynomial families.")
@@ -274,16 +263,18 @@ def build_parser():
     sub.add_parser("identities", help="exact residue-family identity suite")
 
     p = sub.add_parser("sieve-check", help="sandwich and telescoping grid")
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--w-grid", dest="w_grid")
-    p.add_argument("--y-grid", dest="y_grid")
+    p.add_argument("--n-max", type=int, default=10**5)
+    p.add_argument("--w-grid", type=float_list, default="6,12,20")
+    p.add_argument("--y-grid", type=float_list, default="50,1e3,1e5")
 
     p = sub.add_parser("singular-series", help="truncated singular series")
-    p.add_argument("--poly", help="comma-separated c0,c1,...,cd")
+    p.add_argument("--poly", type=polynomial,
+                   help="comma-separated c0,c1,...,cd")
     p.add_argument("--z", type=float)
 
     p = sub.add_parser("psi", help="prime-counting sums for one polynomial")
-    p.add_argument("--poly", help="comma-separated c0,c1,...,cd")
+    p.add_argument("--poly", type=polynomial,
+                   help="comma-separated c0,c1,...,cd")
     p.add_argument("--x", type=int)
     p.add_argument("--abs", action="store_true")
     p.add_argument("--from-one", action="store_true", dest="from_one")
@@ -291,20 +282,22 @@ def build_parser():
     p.add_argument("--neg", action="store_true")
 
     p = sub.add_parser("moment", help="family second-moment experiment")
-    p.add_argument("--d", type=int)
+    p.add_argument("--d", type=int, default=2)
     p.add_argument("--H", type=int)
-    p.add_argument("--x", help="value or comma-separated grid")
-    p.add_argument("--z", help="value or comma-separated grid")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--mode", choices=["exhaustive", "mc", "montecarlo"])
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--center", choices=["bh", "none"])
+    p.add_argument("--x", type=int_list, help="value or comma-separated grid")
+    p.add_argument("--z", type=float_list,
+                   help="value or comma-separated grid")
+    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--mode", choices=["exhaustive", "mc", "montecarlo"],
+                   default="exhaustive")
+    p.add_argument("--samples", type=int, default=10**5)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--center", choices=["bh", "none"], default="bh")
     p.add_argument("--abs", action="store_true")
     p.add_argument("--abs-from-one", action="store_true", dest="abs_from_one")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"])
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("bv", help="progression error average")
     p.add_argument("--X", type=int)
@@ -325,13 +318,15 @@ COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _load_config(args.config)
     try:
-        return COMMANDS[args.command](args, config)
+        if args.config:
+            parser.set_config(args.command, _read_config(args.config))
+            args = parser.parse_args(argv)
+        return COMMANDS[args.command](args)
     except budgets.BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 3
-    except UsageError as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,8 @@ from .arith import (euler_phi, is_prime_u64, primes_below, von_mangoldt,
 from .poly import (coefficient_chunks, eval_poly, residue_key,
                    root_count_table, value_bound)
 
-# Largest von Mangoldt table any family accumulator will build.
+# Largest von Mangoldt table any family accumulator will build; a fixed
+# memory limit, not a budget, so BHLAB_BUDGET does not lift it.
 _MAX_TABLE = 2 * 10**8
 
 
@@ -121,7 +122,9 @@ def bv_average(X, Q, table=None):
         raise ValueError("X and Q must be >= 1")
     X, Q = int(X), int(Q)
     budgets.check("progression average sieve", X, budgets.progression_budget())
-    budgets.check("progression average moduli", Q, math.isqrt(X) + 1)
+    if Q > math.isqrt(X) + 1:  # the range of the statement, not a budget
+        raise ValueError(f"Q must be <= isqrt(X) + 1 = {math.isqrt(X) + 1}, "
+                         f"got {Q}")
     if table is None:
         table = von_mangoldt_table(X)
     out = []
@@ -167,7 +170,8 @@ def diagonal_term(N, H, table=None):
         raise ValueError(f"H must be >= 1, got {H}")
     top = abs(N) + H
     if table is None:
-        budgets.check("diagonal term sieve", top, _MAX_TABLE)
+        if top > _MAX_TABLE:
+            raise budgets.LimitError("diagonal term sieve", top, _MAX_TABLE)
         table = von_mangoldt_table(top)
     ns = np.abs(np.arange(N - H, N + H + 1, dtype=np.int64))
     vals = table[ns]  # index 0 (the excluded c0 = -N) holds Lambda-table 0
@@ -392,7 +396,9 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
         raise ValueError(f"z must exceed 1, got {z}")
     x = int(x)
     bound = value_bound(spec.d, spec.H, x)
-    budgets.check("von Mangoldt table for the family moment", bound, _MAX_TABLE)
+    if bound > _MAX_TABLE:
+        raise budgets.LimitError("von Mangoldt table for the family moment",
+                                 bound, _MAX_TABLE)
     factor_tables = _euler_factor_tables(spec.d, z) if center == "bh" else {}
     lam_table = von_mangoldt_table(max(bound, 1))
     psi_kind = _psi_kind(use_abs, abs_from_one)

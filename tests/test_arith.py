@@ -160,6 +160,21 @@ class TestMultiplicativeFunctions:
         assert not mu_sums[2:].any()
         assert (phi_sums[1:] == np.arange(1, limit + 1)).all()
 
+    def test_factorize_reconstructs_n(self):
+        for n in range(1, 10**4 + 1):
+            factors = factorize(n)
+            primes = [p for p, _ in factors]
+            assert primes == sorted(set(primes))
+            assert all(is_prime_u64(p) and e >= 1 for p, e in factors)
+            assert math.prod(p**e for p, e in factors) == n
+
+    @pytest.mark.parametrize("n,factors", [
+        (1031**2, [(1031, 2)]),  # the first prime past the initial 2^10
+        (1_000_003 * 1_000_033, [(1_000_003, 1), (1_000_033, 1)]),
+    ])
+    def test_factorize_grows_its_trial_divisors(self, n, factors):
+        assert factorize(n) == factors
+
     def test_phi_table_matches_scalar(self):
         table = phi_table(3000)
         for n in range(1, 3001):

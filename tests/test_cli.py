@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bhlab.cli import main
 
@@ -10,6 +16,14 @@ from bhlab.cli import main
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def exit_code(argv):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestSingularSeries:
@@ -173,3 +187,176 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["psi", "--poly", "1,1", "--x", "3", "--bogus"])
         assert exc.value.code == 2
+
+
+class TestRefusals:
+    """Bad input, on every subcommand: empty stdout, one stderr line."""
+
+    CASES = {  # id: (argv, start of the stderr line)
+        "psi-without-poly": ("psi --x 3", "usage error: psi requires --poly"),
+        "y-below-w": ("sieve-check --y-grid 3",
+                      "usage error: no odd truncation level"),
+        "w-below-2": ("sieve-check --w-grid 1", "usage error: prime cutoff"),
+        "config-value": (
+            "--config {tmp}/bad.cfg moment --x 3",
+            "usage error: argument --H: invalid int value: 'abc'"),
+        "config-missing": ("--config {tmp}/no.cfg moment --H 1 --x 3",
+                           "usage error: [Errno 2]"),
+        "out-unwritable": ("moment --H 1 --x 1 --out {tmp}/no/out.csv",
+                           "usage error: [Errno 2]"),
+        "poly-leading-zero": ("psi --poly 1,0 --x 3",
+                              "usage error: argument --poly"),
+        "poly-not-integer": ("psi --poly 1,x --x 3",
+                             "usage error: argument --poly"),
+        "series-z-1": ("singular-series --poly 1,0,1 --z 1",
+                       "usage error: cutoff must exceed 1"),
+        "series-z-inf": ("singular-series --poly 1,0,1 --z inf",
+                         "usage error: "),
+        "bv-X-0": ("bv --X 0 --Q 1", "usage error: "),
+        "bv-X-1": ("bv --X 1 --Q 1", "usage error: bv requires X >= 2"),
+        "bv-missing-Q": ("bv --X 100", "usage error: bv requires --Q"),
+        "bv-moduli-range": ("bv --X 100 --Q 50",
+                            "usage error: Q must be <= isqrt(X) + 1 = 11"),
+        "psi-past-2^63": ("psi --poly 1,0,0,0,0,1 --x 100000",
+                          "usage error: von_mangoldt limited to n < 2^63"),
+        "budget-env-not-int": ("bv --X 100 --Q 3",
+                               "usage error: BHLAB_BUDGET must be an integer"),
+        "unknown-subcommand": ("frobnicate", "usage error: argument command"),
+        "lambda-table-limit": (
+            "moment --d 3 --H 1000 --x 1000 --z 2",
+            "budget refusal: von Mangoldt table for the family moment: "
+            "requested size 4000000000000 exceeds the fixed limit 200000000"),
+        "progression-budget": (
+            "bv --X 10000000 --Q 3",
+            "budget refusal: progression average sieve: requested size "
+            "10000000 exceeds budget 1000000 (override with BHLAB_BUDGET)"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_line(self, case, capsys, monkeypatch, tmp_path):
+        argv, want = self.CASES[case]
+        (tmp_path / "bad.cfg").write_text("H = abc\n")
+        if case == "budget-env-not-int":
+            monkeypatch.setenv("BHLAB_BUDGET", "abc")
+        else:
+            monkeypatch.delenv("BHLAB_BUDGET", raising=False)
+        code = exit_code(argv.format(tmp=tmp_path).split())
+        out, err = capsys.readouterr()
+        assert code == (3 if want.startswith("budget refusal: ") else 2)
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(want)
+        assert "Traceback" not in err
+        # the hint is given only where BHLAB_BUDGET lifts the limit
+        assert ("BHLAB_BUDGET" in err) == (case in ("budget-env-not-int",
+                                                    "progression-budget"))
+
+
+def _grid(values):
+    return st.lists(values, min_size=1, max_size=3).map(
+        lambda vs: ",".join(map(str, vs)))
+
+
+JUNK = st.sampled_from(["", "abc", "1.5", "-1", "0", "nan", "inf", "1e400",
+                        "1,,2", "0x10", "2,", "1,0"])
+POLY = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(
+    lambda cs: ",".join(map(str, cs + [1])))
+SWITCH = None
+
+# The real flag set of every subcommand but `identities` (about 5 s a run),
+# with values bounded so that each run takes milliseconds.  The first flags
+# listed are the ones a run needs.
+FLAGS = {
+    "sieve-check": {
+        "--n-max": st.integers(1, 200),
+        "--w-grid": _grid(st.floats(2, 40)),
+        "--y-grid": _grid(st.floats(2, 2000)),
+    },
+    "singular-series": {"--poly": POLY, "--z": st.floats(1.5, 200)},
+    "psi": {"--poly": POLY, "--x": st.integers(0, 6), "--abs": SWITCH,
+            "--from-one": SWITCH, "--theta": SWITCH, "--neg": SWITCH},
+    "moment": {
+        "--H": st.integers(1, 3), "--x": _grid(st.integers(0, 6)),
+        "--d": st.integers(1, 3), "--z": _grid(st.floats(1.5, 12)),
+        "--gamma": st.floats(0, 1.4),
+        "--mode": st.sampled_from(["exhaustive", "mc", "montecarlo"]),
+        "--samples": st.integers(1, 50), "--seed": st.integers(0, 5),
+        "--center": st.sampled_from(["bh", "none"]),
+        "--abs": SWITCH, "--abs-from-one": SWITCH,
+        "--threads": st.integers(1, 3),
+        "--out": st.sampled_from(["{tmp}/out.csv", "{tmp}/no/such/out.csv"]),
+        "--format": st.sampled_from(["csv", "json"]),
+    },
+    "bv": {"--X": st.integers(1, 10**4), "--Q": st.integers(1, 40)},
+}
+NEEDED = {"sieve-check": 1, "singular-series": 2, "psi": 2, "moment": 2,
+          "bv": 2}
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, config text or None, BHLAB_BUDGET or None) for one run.
+
+    About one value in 16 is malformed, one flag in 30 lacks its value, and
+    one needed flag in 10 is left out (or moved to the config file).  The
+    faults come last in each sampled_from, so examples shrink to valid runs.
+    """
+    command = draw(st.sampled_from(["moment", *FLAGS]))  # moment: 14 flags
+    flags = FLAGS[command]
+    names = list(flags)
+
+    def value(flag):
+        if flags[flag] is SWITCH:
+            return "1"
+        return str(draw(draw(st.sampled_from([flags[flag]] * 15 + [JUNK]))))
+
+    chosen = [f for f in names[:NEEDED[command]]
+              if draw(st.sampled_from([1] * 9 + [0]))]
+    chosen += [f for f in names[NEEDED[command]:]
+               if draw(st.sampled_from([0, 0, 1]))]
+    chosen = draw(st.permutations(chosen))
+    in_config = draw(st.lists(st.sampled_from(names + ["--bogus"]),
+                              max_size=3)) if draw(st.booleans()) else None
+    argv = [command]
+    for flag in chosen:
+        if flags[flag] is SWITCH or draw(st.sampled_from([0] * 29 + [1])):
+            argv.append(flag)  # a missing value, unless a switch
+        else:
+            argv.append(f"{flag}={value(flag)}")
+    if command == "sieve-check" and "--n-max" not in chosen:
+        argv.append("--n-max=50")  # the default 10**5 takes seconds
+    config = None
+    if in_config is not None:
+        config = "".join(
+            f"{flag[2:]} = {value(flag) if flag in flags else 1}\n"
+            for flag in in_config)
+        argv = ["--config", "{tmp}/run.cfg", *argv]
+    budget = draw(st.sampled_from([None] * 12 + ["abc", "0", "50", "100000"]))
+    return argv, config, budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_runs())
+def test_cli_contract_fuzz(run):
+    """Any argv from the real flag set: exit 0-3, at most one stderr line,
+    never a traceback."""
+    argv, config, budget = run
+    env = {} if budget is None else {"BHLAB_BUDGET": budget}
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, env), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        if budget is None:
+            os.environ.pop("BHLAB_BUDGET", None)
+        if config is not None:
+            with open(os.path.join(tmp, "run.cfg"), "w") as fh:
+                fh.write(config)
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a malformed --out names a file here
+        try:
+            code = exit_code([a.replace("{tmp}", tmp) for a in argv])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1

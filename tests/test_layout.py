@@ -31,6 +31,24 @@ def test_no_private_name_imported_from_another_module():
     assert offenders == []
 
 
+def test_no_private_attribute_of_another_module():
+    offenders = []
+    for module, tree in TREES.items():
+        # names bound to bhlab modules by `from . import x [as y]`
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.module or "bhlab") == "bhlab"
+                   for alias in node.names if alias.name in TREES}
+        offenders += [f"{module}:{node.lineno} {node.value.id}.{node.attr}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id in modules
+                      and node.attr.startswith("_")
+                      and not node.attr.startswith("__")]
+    assert offenders == []
+
+
 def test_sieve_primes_called_only_in_arith():
     callers = set()
     for module, tree in TREES.items():

@@ -137,9 +137,12 @@ class TestBvAverage:
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
-            bv_average(100, 50)  # Q above sqrt(X) + 1
-        with pytest.raises(BudgetError):
             bv_average(10**7, 3)
+
+    def test_moduli_outside_the_range_are_bad_input(self):
+        # Q <= isqrt(X) + 1 is the statement's range, not a budget
+        with pytest.raises(ValueError, match="isqrt"):
+            bv_average(100, 50)
 
 
 class TestDiagonalTerm:
@@ -163,6 +166,14 @@ class TestDiagonalTerm:
     def test_validation(self):
         with pytest.raises(ValueError):
             diagonal_term(0, 0)
+
+    def test_table_limit_is_not_lifted_by_the_budget(self, monkeypatch):
+        monkeypatch.setenv("BHLAB_BUDGET", str(10**12))
+        with pytest.raises(BudgetError) as exc:
+            diagonal_term(2 * 10**8, 1)
+        assert str(exc.value) == (
+            "diagonal term sieve: requested size 200000001 exceeds the fixed "
+            "limit 200000000")
 
 
 class TestSecondMoment:
