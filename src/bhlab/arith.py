@@ -20,6 +20,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # and callers must stay below this.
 VON_MANGOLDT_LIMIT = 2**63
 
+# Primes per math.log batch in von_mangoldt_table.
+_LOG_CHUNK = 1 << 12
+
 
 def is_prime_u64(n):
     """Deterministic Miller-Rabin primality test for 0 <= n < 2**63."""
@@ -48,27 +51,45 @@ def is_prime_u64(n):
     return True
 
 
+# Prime exponents a < 64: an n < 2**63 that is a perfect power is a perfect
+# a-th power for one of them.
+_PRIME_EXPONENTS = tuple(a for a in range(2, 64) if is_prime_u64(a))
+
+
 def integer_root(n, a):
-    """Largest r with r**a <= n, by binary search on integers."""
+    """Largest r with r**a <= n.
+
+    A float estimate of n**(1/a), corrected by exact integer comparisons.
+    Below 2**50 the estimate is within a few units of the root; past that
+    (or past the float range) integer Newton steps descend to it from the
+    upper bound 2**ceil(bits/a).
+    """
     if n < 0 or a < 1:
         raise ValueError("integer_root requires n >= 0 and a >= 1")
     if a == 1 or n < 2:
         return n
-    lo, hi = 1, 1 << (n.bit_length() // a + 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**a <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    try:
+        r = int(math.exp(math.log(n) / a))
+    except OverflowError:  # the root is past the float range
+        r = math.inf
+    if r < 1 << 50:
+        while r**a > n:
+            r -= 1
+        while (r + 1) ** a <= n:
+            r += 1
+        return r
+    r = 1 << -(-n.bit_length() // a)
+    while (s := ((a - 1) * r + n // r ** (a - 1)) // a) < r:
+        r = s
+    return r
 
 
 def von_mangoldt(n):
     """Lambda(n): log(l) if n = l**a for a prime l, else 0.
 
-    No factoring: for each exponent a, take the exact integer a-th root and
-    accept when it is prime and the power reconstructs n.
+    No factoring: n is tested for primality, then for an exact a-th root r
+    for each prime exponent a below its bit length.  n = r**a is a power
+    of l exactly when r is, so Lambda(n) = Lambda(r).
     """
     if n < 1:
         raise ValueError(f"von_mangoldt requires n >= 1, got {n}")
@@ -76,10 +97,15 @@ def von_mangoldt(n):
         raise ValueError(f"von_mangoldt limited to n < 2^63, got {n}")
     if n == 1:
         return 0.0
-    for a in range(1, n.bit_length()):
+    if is_prime_u64(n):
+        return math.log(n)
+    bits = n.bit_length()
+    for a in _PRIME_EXPONENTS:
+        if a >= bits:
+            break
         r = integer_root(n, a)
-        if r**a == n and is_prime_u64(r):
-            return math.log(r)
+        if r**a == n:
+            return von_mangoldt(r)
     return 0.0
 
 
@@ -198,18 +224,25 @@ def primorial(w):
 def von_mangoldt_table(limit):
     """numpy array L with L[n] = Lambda(n) for 0 <= n <= limit.
 
-    Sieve-based: one entry per prime power.  Cross-checked against the
-    root-and-primality scalar path in the test suite.
+    Sieve-based: one entry per prime power, each math.log(p) (np.log
+    differs from it in the last bit on some primes).  The prime entries are
+    filled in chunks of _LOG_CHUNK, so no list of all the primes is held;
+    only primes up to isqrt(limit) have higher powers.  Cross-checked
+    against the root-and-primality scalar path in the test suite.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     table = np.zeros(limit + 1, dtype=np.float64)
-    for p in sieve_primes(limit).primes:
-        p = int(p)
-        logp = math.log(p)
-        q = p
+    primes = sieve_primes(limit).primes
+    for i in range(0, len(primes), _LOG_CHUNK):
+        chunk = primes[i : i + _LOG_CHUNK]
+        table[chunk] = np.fromiter(map(math.log, chunk.tolist()),
+                                   dtype=np.float64, count=len(chunk))
+    small = primes[: np.searchsorted(primes, math.isqrt(limit), "right")]
+    for p in small.tolist():
+        q = p * p
         while q <= limit:
-            table[q] = logp
+            table[q] = table[p]
             q *= p
     return table
 

@@ -129,16 +129,19 @@ def cmd_identities(args):
 
 def cmd_sieve_check(args):
     n_max, w_grid, y_grid = args.n_max, args.w_grid, args.y_grid
-    # the whole grid is built first, so a bad grid is refused before output
+    # the whole grid is built and checked first, so bad input is refused
+    # before any output
     weights = {(w, y): [sieve.build_brun_weights(w, y, parity)
                         for parity in ("lower", "upper")]
                for w in w_grid for y in y_grid}
+    reports = {point: sieve.sandwich_check(*pair, n_max)
+               for point, pair in weights.items()}
     _echo_header(sys.stdout, [("n_max", n_max), ("w_grid", w_grid),
                               ("y_grid", y_grid)])
     failures = 0
     for w in w_grid:
         for y in y_grid:
-            rep = sieve.sandwich_check(*weights[w, y], n_max)
+            rep = reports[w, y]
             ok = rep.violations == 0
             failures += not ok
             print(f"{'PASS' if ok else 'FAIL'}  sandwich w={w} y={y} "

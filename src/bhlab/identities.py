@@ -6,6 +6,7 @@ against a product side.  Left sides use exact rational arithmetic.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -14,6 +15,8 @@ import numpy as np
 from . import budgets
 from .arith import factorize, is_prime_u64, is_squarefree
 from .poly import residue_key, root_count_table
+
+_TILE = 1 << 20  # tuples per tile of the direct enumeration
 
 
 def residue_root_count(coeffs, ell):
@@ -59,32 +62,97 @@ def _residue_family_sums(g, k, d, label):
     prod_{l | k} g(P0 mod l, l).
 
     g is tabulated once per prime l | k over the l**(d+1) residue tuples.
-    The direct side enumerates every tuple mod k and reduces it mod each l
-    before the lookup (no Chinese remainder shortcut); the product side
-    multiplies the per-prime table sums.
+    The direct side enumerates every tuple mod k, in tiles of at most
+    _TILE tuples held as int64 digit columns, and reduces each column mod
+    each l into the table index (no Chinese remainder shortcut); the
+    product side multiplies the per-prime table sums.
     """
     if k < 1:
         raise ValueError(f"modulus must be positive, got {k}")
     if not is_squarefree(k):
         raise ValueError(f"modulus must be squarefree, got {k}")
     budgets.check(label, k ** (d + 1), budgets.residue_budget())
-    local = []  # (residues of 0..k-1 mod l, {residue tuple mod l: g})
-    for ell, _ in factorize(k):
-        table = {coeffs: g(coeffs, ell)
-                 for coeffs in itertools.product(range(ell), repeat=d + 1)}
-        local.append(([c % ell for c in range(k)], table))
-
-    direct = 0
-    for coeffs in itertools.product(range(k), repeat=d + 1):
-        term = 1
-        for residues, table in local:
-            term *= table[tuple(map(residues.__getitem__, coeffs))]
-        direct += term
-
+    primes = [ell for ell, _ in factorize(k)]
+    tables = [[g(coeffs, ell)
+               for coeffs in itertools.product(range(ell), repeat=d + 1)]
+              for ell in primes]
     product = 1
-    for _, table in local:
-        product *= sum(table.values())
-    return direct, product
+    for table in tables:
+        product *= sum(table)
+    return _direct_sum(tables, primes, k, d), product
+
+
+def _direct_sum(tables, primes, k, d):
+    """sum over the k**(d+1) tuples of prod_l tables[l][tuple mod l].
+
+    A tile is a block of leading digits (c0, ..., c_{d-m}) times every
+    trailing block (c_{d-m+1}, ..., c_d), at most _TILE tuples in
+    enumeration order; the trailing keys mod each l are formed once and
+    each tuple's key is lead key * l**m + trailing key.  Rational tables
+    are scaled to int64 numerators over a per-prime common denominator and
+    summed exactly; when a partial sum could reach 2**63, or a value is
+    not an int or a Fraction, the same tiles run on object arrays and are
+    summed term by term in enumeration order.
+    """
+    scaled = _scaled_numerators(tables, k ** (d + 1))
+    if scaled is None:
+        factors = [np.fromiter(table, dtype=object, count=len(table))
+                   for table in tables]
+    else:
+        factors, denominator, rational = scaled
+    m = 0
+    while m < d and k ** (m + 1) <= _TILE:
+        m += 1
+    trailing = _digit_columns(np.arange(k**m, dtype=np.int64), k, m)
+    trailing_keys = [residue_key(trailing, ell) for ell in primes]
+    leads = k ** (d + 1 - m)
+    block = _TILE // k**m
+    direct = 0
+    for start in range(0, leads, block):
+        lead = _digit_columns(
+            np.arange(start, min(start + block, leads), dtype=np.int64),
+            k, d + 1 - m)
+        term = np.ones((len(lead[0]), k**m),
+                       dtype=object if scaled is None else np.int64)
+        for ell, factor, tail in zip(primes, factors, trailing_keys):
+            term *= factor[residue_key(lead, ell)[:, None] * ell**m + tail]
+        if scaled is None:
+            for value in term.ravel():
+                direct += value
+        else:
+            direct += int(term.sum())
+    if scaled is None or not rational:
+        return direct
+    return Fraction(direct, denominator)
+
+
+def _digit_columns(idx, k, n):
+    """The n base-k digits of each idx, as int64 columns, least significant
+    first (the order residue_key takes)."""
+    columns = []
+    for _ in range(n):
+        idx, c = np.divmod(idx, k)
+        columns.append(c)
+    return columns
+
+
+def _scaled_numerators(tables, count):
+    """(int64 numerator tables, prod of denominators, any Fraction seen) for
+    int/Fraction tables whose direct sum stays below 2**63, else None."""
+    numerators, denominator, bound, rational = [], 1, count, False
+    for table in tables:
+        types = set(map(type, table))
+        if not types <= {int, bool, Fraction}:
+            return None
+        rational = rational or Fraction in types
+        scale = math.lcm(*(v.denominator for v in table))
+        nums = [v.numerator * (scale // v.denominator) for v in table]
+        bound *= max(1, *map(abs, nums))
+        if bound >= 2**63:
+            return None
+        numerators.append(np.array(nums, dtype=np.int64))
+        denominator *= scale
+    return numerators, denominator, rational
 
 
 def multiplicative_average(g, k, d):

@@ -139,7 +139,7 @@ def bv_average(X, Q, table=None):
             if len(ns) == 0:
                 worst = max(worst, X / phi_q)
                 continue
-            cs = np.cumsum(table[ns])
+            cs = np.cumsum(table[start : X + 1 : q])
             at_member = np.abs(cs - ns / phi_q)
             before = np.abs(np.concatenate(([0.0], cs[:-1])) - (ns - 1) / phi_q)
             if ns[0] == 1:

@@ -108,6 +108,8 @@ def sandwich_check(lower, upper, n_max):
         raise ValueError("weight pair must share the same w and y")
     if lower.parity != "lower" or upper.parity != "upper":
         raise ValueError("pass (lower, upper) weights in that order")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     lo = np.zeros(n_max + 1, dtype=np.int64)
     hi = np.zeros(n_max + 1, dtype=np.int64)
     for sums, weights in ((lo, lower), (hi, upper)):

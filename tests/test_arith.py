@@ -28,6 +28,35 @@ def trial_division_lambda(n):
     return math.log(smallest) if m == 1 else 0.0
 
 
+def root_by_every_exponent_lambda(n):
+    """Reference: the exact a-th root for every exponent a below the bit
+    length, by binary search, accepted when prime and exact."""
+    if n == 1:
+        return 0.0
+    for a in range(1, n.bit_length()):
+        lo, hi = 1, 1 << (n.bit_length() // a + 1)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if mid**a <= n:
+                lo = mid
+            else:
+                hi = mid - 1
+        if lo**a == n and is_prime_u64(lo):
+            return math.log(lo)
+    return 0.0
+
+
+def per_prime_log_table(limit):
+    """Reference: math.log(p) at every prime power p**a <= limit."""
+    table = np.zeros(limit + 1, dtype=np.float64)
+    for p in sieve_primes(limit):
+        q = p
+        while q <= limit:
+            table[q] = math.log(p)
+            q *= p
+    return table
+
+
 def trial_division_is_prime(n):
     if n < 2:
         return False
@@ -95,6 +124,28 @@ class TestVonMangoldt:
         for n in rng.integers(5000, 10**6, size=2000):
             assert lam_table_1e6[int(n)] == von_mangoldt(int(n))
 
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 10**4, 10**6,
+                                       3 * 10**6 + 1])
+    def test_table_bits_equal_per_prime_logs(self, limit):
+        got = von_mangoldt_table(limit)
+        want = per_prime_log_table(limit)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_scalar_equals_root_by_every_exponent(self):
+        rng = np.random.default_rng(63)
+        ns = list(range(1, 10**5 + 1))
+        for p in primes_below(3000):
+            q = p
+            while q < 2**63:
+                ns.append(q)
+                q *= p
+        ns += [6**a for a in range(2, 25)] + [2**62, (2**31 - 1) ** 2, 3**39]
+        ns += [2**63 - j for j in range(1, 200)]
+        ns += [int(v) for v in rng.integers(1, 2**63, size=10**4)]
+        for n in ns:
+            assert von_mangoldt(n) == root_by_every_exponent_lambda(n), n
+
     def test_chebyshev_trend(self):
         # PNT: psi(x)/x near 1 (within 5%) at x = 10^7
         table = von_mangoldt_table(10**7)
@@ -112,6 +163,14 @@ class TestIntegerRoot:
         r = integer_root(n, a)
         assert r**a <= n
         assert (r + 1) ** a > n
+
+
+    @pytest.mark.parametrize("a", range(1, 64))
+    def test_exact_next_to_perfect_powers(self, a):
+        for r in (2, 3, 10, 2**20 + 7, 3**20, 10**12 + 39, 10**20 + 1):
+            assert integer_root(r**a, a) == r
+            assert integer_root(r**a - 1, a) == r - 1
+            assert integer_root(r**a + 1, a) == (r + 1 if a == 1 else r)
 
 
 class TestMillerRabin:

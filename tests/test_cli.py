@@ -197,6 +197,8 @@ class TestRefusals:
         "y-below-w": ("sieve-check --y-grid 3",
                       "usage error: no odd truncation level"),
         "w-below-2": ("sieve-check --w-grid 1", "usage error: prime cutoff"),
+        "sieve-n-max-0": ("sieve-check --n-max 0 --w-grid 6 --y-grid 50",
+                          "usage error: n_max must be >= 1, got 0"),
         "config-value": (
             "--config {tmp}/bad.cfg moment --x 3",
             "usage error: argument --H: invalid int value: 'abc'"),
@@ -263,12 +265,12 @@ POLY = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(
     lambda cs: ",".join(map(str, cs + [1])))
 SWITCH = None
 
-# The real flag set of every subcommand but `identities` (about 5 s a run),
+# The real flag set of every subcommand but `identities` (about 1 s a run),
 # with values bounded so that each run takes milliseconds.  The first flags
 # listed are the ones a run needs.
 FLAGS = {
     "sieve-check": {
-        "--n-max": st.integers(1, 200),
+        "--n-max": st.integers(-1, 200),
         "--w-grid": _grid(st.floats(2, 40)),
         "--y-grid": _grid(st.floats(2, 2000)),
     },

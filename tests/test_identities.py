@@ -1,8 +1,13 @@
 import itertools
+import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from bhlab import identities
+from bhlab.arith import factorize
 from bhlab.budgets import BudgetError
 from bhlab.identities import (multiplicative_average, omega_moment,
                               residue_root_count, squared_factor_sum)
@@ -13,6 +18,31 @@ SQUAREFREE_30 = [k for k in range(1, 31)
 
 def local_root_fraction(coeffs, ell):
     return Fraction(residue_root_count(coeffs, ell), ell)
+
+
+def squared_density(coeffs, ell):
+    w = residue_root_count(coeffs, ell)
+    return Fraction(2 * w, ell) - Fraction(w * w, ell * ell)
+
+
+def tuple_by_tuple_sums(g, k, d):
+    """Reference: (direct, product) with the direct side summed one tuple
+    mod k at a time, each tuple reduced mod every l | k by hand."""
+    local = []
+    for ell, _ in factorize(k):
+        table = {coeffs: g(coeffs, ell)
+                 for coeffs in itertools.product(range(ell), repeat=d + 1)}
+        local.append(([c % ell for c in range(k)], table))
+    direct = 0
+    for coeffs in itertools.product(range(k), repeat=d + 1):
+        term = 1
+        for residues, table in local:
+            term *= table[tuple(map(residues.__getitem__, coeffs))]
+        direct += term
+    product = 1
+    for _, table in local:
+        product *= sum(table.values())
+    return direct, product
 
 
 class TestResidueRootCount:
@@ -79,6 +109,92 @@ class TestMultiplicativeAverage:
     def test_squarefree_validation(self):
         with pytest.raises(ValueError):
             multiplicative_average(local_root_fraction, 12, 1)
+
+    @pytest.mark.parametrize("g", [
+        local_root_fraction,
+        lambda c, ell: 1 - local_root_fraction(c, ell),
+        lambda c, ell: (1 - local_root_fraction(c, ell)) ** 2,
+        squared_density,
+        residue_root_count,
+    ])
+    def test_equals_tuple_by_tuple_sums(self, g):
+        for d in (1, 2):
+            for k in SQUAREFREE_30:
+                got = multiplicative_average(g, k, d)
+                want = tuple_by_tuple_sums(g, k, d)
+                assert got == want, (k, d)
+                assert tuple(map(type, got)) == tuple(map(type, want)), (k, d)
+
+    def test_denominators_near_2_to_61_stay_exact(self):
+        def g(coeffs, ell):
+            return Fraction(1 + residue_root_count(coeffs, ell),
+                            2**61 - 1 - sum(coeffs))
+
+        tables = [[g(c, ell) for c in itertools.product(range(ell), repeat=2)]
+                  for ell in (2, 3, 5)]
+        # int64 numerators over the common denominator would overflow
+        assert identities._scaled_numerators(tables, 30**2) is None
+        got = multiplicative_average(g, 30, 1)
+        assert got == tuple_by_tuple_sums(g, 30, 1)
+        assert type(got.direct) is Fraction
+
+    def test_float_values_sum_in_enumeration_order(self):
+        def g(coeffs, ell):
+            return 0.1 * residue_root_count(coeffs, ell) + 1e-3 / ell
+
+        for k, d in ((30, 2), (29, 1), (1, 2)):
+            got = multiplicative_average(g, k, d)
+            want = tuple_by_tuple_sums(g, k, d)
+            assert repr(tuple(got)) == repr(want), (k, d)
+            assert tuple(map(type, got)) == tuple(map(type, want))
+        # order matters here: a compensated sum reads differently
+        terms = [g(c, 5) * g(c, 3) for c in itertools.product(range(15),
+                                                              repeat=3)]
+        assert math.fsum(terms) != multiplicative_average(g, 15, 2).direct
+
+    @pytest.mark.parametrize("tile,k", [(1, 6), (5, 30), (7, 30), (64, 30),
+                                        (900, 30), (1000, 30)])
+    def test_tile_edges(self, tile, k, monkeypatch):
+        # tiles of a few leading digits times trailing blocks, cut short
+        # at the end, on the int64 and on the object path
+        monkeypatch.setattr(identities, "_TILE", tile)
+
+        def g_float(coeffs, ell):
+            return 0.1 * residue_root_count(coeffs, ell) + 1e-3 / ell
+
+        for g in (squared_density, g_float):
+            got = multiplicative_average(g, k, 2)
+            assert repr(tuple(got)) == repr(tuple_by_tuple_sums(g, k, 2))
+
+    def test_k_210_d_2_is_fast_and_tiled(self):
+        # 210**3 = 9261000 tuples, inside the default budget; the
+        # tuple-by-tuple enumeration took 56 s
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            pair = multiplicative_average(local_root_fraction, 210, 2)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pair.direct == pair.product == 210**2
+        assert elapsed < 56 / 30
+        assert peak < 128 * 2**20
+
+    def test_budget_refusal_before_tabulating(self, monkeypatch):
+        monkeypatch.delenv("BHLAB_BUDGET", raising=False)
+        calls = []
+
+        def g(coeffs, ell):
+            calls.append(ell)
+            return 1
+
+        # 217 = 7 * 31 is the least squarefree k with k**3 over 10**7
+        with pytest.raises(BudgetError, match=(
+                "residue average enumeration: requested size 10218313 "
+                "exceeds budget 10000000")):
+            multiplicative_average(g, 217, 2)
+        assert calls == []
 
 
 class TestSquaredFactorSum:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bhlab.arith import chebyshev_psi, von_mangoldt_table
+from bhlab.arith import chebyshev_psi, euler_phi, von_mangoldt_table
 from bhlab import moments
 from bhlab.budgets import BudgetError
 from bhlab.eulerprod import truncated_bh_constant
@@ -138,6 +138,28 @@ class TestBvAverage:
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
             bv_average(10**7, 3)
+
+    @pytest.mark.parametrize("X,Q,limit", [(10**4, 40, 10**4),
+                                           (5000, 30, 7000)])
+    def test_equals_gathered_progressions(self, X, Q, limit):
+        # reference: each progression gathered by index from the table
+        table = von_mangoldt_table(limit)
+        out = []
+        for q in range(1, Q + 1):
+            phi_q = euler_phi(q)
+            worst = 0.0
+            for b in [0] if q == 1 else [b for b in range(1, q)
+                                         if math.gcd(b, q) == 1]:
+                ns = np.arange(b if b >= 1 else q, X + 1, q, dtype=np.int64)
+                cs = np.cumsum(table[ns])
+                before = np.abs(np.concatenate(([0.0], cs[:-1]))
+                                - (ns - 1) / phi_q)
+                if ns[0] == 1:
+                    before[0] = 0.0
+                worst = max(worst, float(np.abs(cs - ns / phi_q).max()),
+                            float(before.max()), abs(cs[-1] - X / phi_q))
+            out.append(worst)
+        assert bv_average(X, Q, table=table) == math.fsum(out)
 
     def test_moduli_outside_the_range_are_bad_input(self):
         # Q <= isqrt(X) + 1 is the statement's range, not a budget

@@ -110,6 +110,12 @@ class TestSandwich:
             sandwich_check(build_brun_weights(6, 100, "upper"),
                            build_brun_weights(6, 100, "upper"), 100)
 
+    @pytest.mark.parametrize("n_max", [0, -5])
+    def test_nothing_to_check_is_refused(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            sandwich_check(build_brun_weights(6, 100, "lower"),
+                           build_brun_weights(6, 100, "upper"), n_max)
+
 
 class TestSieveSum:
     def test_zero_density(self):
