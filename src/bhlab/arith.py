@@ -6,7 +6,6 @@ logarithms are natural.
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -109,39 +108,17 @@ def von_mangoldt(n):
     return 0.0
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes <= limit, ascending, from a sieve of Eratosthenes."""
-
-    limit: int
-    primes: np.ndarray = field(repr=False)
-
-    def __len__(self):
-        return len(self.primes)
-
-    def __iter__(self):
-        return iter(int(p) for p in self.primes)
-
-    def __contains__(self, n):
-        i = int(np.searchsorted(self.primes, n))
-        return i < len(self.primes) and int(self.primes[i]) == n
-
-    def below(self, z):
-        """Primes strictly below z, as python ints."""
-        i = int(np.searchsorted(self.primes, z, side="left"))
-        return [int(p) for p in self.primes[:i]]
-
-
 def sieve_primes(limit):
-    """PrimeTable of all primes <= limit (empty when limit < 2)."""
+    """Ascending int64 array of all primes <= limit (empty when limit < 2),
+    by a sieve of Eratosthenes."""
     if limit < 2:
-        return PrimeTable(limit=limit, primes=np.array([], dtype=np.int64))
+        return np.array([], dtype=np.int64)
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return PrimeTable(limit=limit, primes=np.nonzero(sieve)[0].astype(np.int64))
+    return np.nonzero(sieve)[0].astype(np.int64)
 
 
 @lru_cache(maxsize=8)
@@ -150,7 +127,8 @@ def primes_below(z):
 
     Cached: every product and sum over primes l < z shares this one sieve.
     """
-    return tuple(sieve_primes(math.ceil(z)).below(z))
+    primes = sieve_primes(math.ceil(z))
+    return tuple(primes[: np.searchsorted(primes, z, side="left")].tolist())
 
 
 def factorize(n):
@@ -233,7 +211,7 @@ def von_mangoldt_table(limit):
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     table = np.zeros(limit + 1, dtype=np.float64)
-    primes = sieve_primes(limit).primes
+    primes = sieve_primes(limit)
     for i in range(0, len(primes), _LOG_CHUNK):
         chunk = primes[i : i + _LOG_CHUNK]
         table[chunk] = np.fromiter(map(math.log, chunk.tolist()),
@@ -253,8 +231,7 @@ def phi_table(limit):
         raise ValueError("limit must be >= 1")
     table = np.arange(limit + 1, dtype=np.int64)
     table[0] = 0
-    for p in sieve_primes(limit).primes:
-        p = int(p)
+    for p in sieve_primes(limit).tolist():
         table[p::p] -= table[p::p] // p
     return table
 

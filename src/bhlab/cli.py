@@ -20,6 +20,7 @@ import contextlib
 import csv
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -173,6 +174,8 @@ def cmd_singular_series(args):
 
 def cmd_psi(args):
     _require(args, "poly", "x")
+    if args.from_one and not args.abs:
+        raise ValueError("--from-one requires --abs")
     P, x = args.poly, args.x
     if args.theta:
         kind, value = "theta", moments.theta(P, x)
@@ -190,6 +193,8 @@ def cmd_psi(args):
 
 def _moment_rows(args):
     _require(args, "H", "x")
+    if args.abs_from_one and not args.abs:
+        raise ValueError("--abs-from-one requires --abs")
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     d, H, xs, zs, gamma = args.d, args.H, args.x, args.z, args.gamma
@@ -279,10 +284,11 @@ def build_parser():
     p.add_argument("--poly", type=polynomial,
                    help="comma-separated c0,c1,...,cd")
     p.add_argument("--x", type=int)
-    p.add_argument("--abs", action="store_true")
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--abs", action="store_true")
+    kind.add_argument("--theta", action="store_true")
+    kind.add_argument("--neg", action="store_true")
     p.add_argument("--from-one", action="store_true", dest="from_one")
-    p.add_argument("--theta", action="store_true")
-    p.add_argument("--neg", action="store_true")
 
     p = sub.add_parser("moment", help="family second-moment experiment")
     p.add_argument("--d", type=int, default=2)
@@ -318,8 +324,19 @@ COMMANDS = {
 }
 
 
+def _join_negative_poly(argv):
+    """`--poly -3,0,1` as `--poly=-3,0,1`: argparse reads a value that
+    starts with "-" as an option unless it is a single number."""
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--poly" and re.match(r"-\d", argv[i]):
+            argv[i - 1 : i + 1] = [f"--poly={argv[i]}"]
+    return argv
+
+
 def main(argv=None):
     parser = build_parser()
+    argv = _join_negative_poly(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     try:
         if args.config:

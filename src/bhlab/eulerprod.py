@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import phi_table, primes_below
-from .poly import roots_count_mod_prime
+from .poly import local_root_counts
 
 # Truncation standing in for the full prime product in reference values.
 FULL_PRODUCT_Z = 10**5
@@ -27,18 +27,11 @@ def truncated_bh_constant(P, z):
     if z <= 1:
         raise ValueError(f"cutoff must exceed 1, got {z}")
     acc = np.longdouble(1.0)
-    for ell in primes_below(z):
-        w = roots_count_mod_prime(P, ell)
+    for ell, w in zip(primes_below(z), local_root_counts(P, z)):
         if w == ell:
             return 0.0
         acc *= np.longdouble(ell - w) / np.longdouble(ell - 1)
     return float(acc)
-
-
-def singular_factor(P, ell):
-    """Single prime factor (1 - 1/l)^(-1) (1 - w_P(l)/l) of the product."""
-    w = roots_count_mod_prime(P, ell)
-    return (ell - w) / (ell - 1)
 
 
 def reference_product(z):

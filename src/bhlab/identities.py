@@ -14,7 +14,7 @@ import numpy as np
 
 from . import budgets
 from .arith import factorize, is_prime_u64, is_squarefree
-from .poly import residue_key, root_count_table
+from .poly import digit_columns, residue_key, root_count_table
 
 _TILE = 1 << 20  # tuples per tile of the direct enumeration
 
@@ -44,8 +44,6 @@ def omega_moment(ell, d, j):
         raise ValueError(f"modulus must be prime, got {ell}")
     if j not in (1, 2):
         raise ValueError(f"moment order must be 1 or 2, got {j}")
-    budgets.check("residue moment enumeration", ell ** (d + 1),
-                  budgets.residue_budget())
     counts = root_count_table(ell, d)
     enumerated = int(np.sum(counts**j))
     closed = ell ** (d + 1) if j == 1 else ell**d * (2 * ell - 1)
@@ -103,13 +101,13 @@ def _direct_sum(tables, primes, k, d):
     m = 0
     while m < d and k ** (m + 1) <= _TILE:
         m += 1
-    trailing = _digit_columns(np.arange(k**m, dtype=np.int64), k, m)
+    trailing = digit_columns(np.arange(k**m, dtype=np.int64), k, m)
     trailing_keys = [residue_key(trailing, ell) for ell in primes]
     leads = k ** (d + 1 - m)
     block = _TILE // k**m
     direct = 0
     for start in range(0, leads, block):
-        lead = _digit_columns(
+        lead = digit_columns(
             np.arange(start, min(start + block, leads), dtype=np.int64),
             k, d + 1 - m)
         term = np.ones((len(lead[0]), k**m),
@@ -124,16 +122,6 @@ def _direct_sum(tables, primes, k, d):
     if scaled is None or not rational:
         return direct
     return Fraction(direct, denominator)
-
-
-def _digit_columns(idx, k, n):
-    """The n base-k digits of each idx, as int64 columns, least significant
-    first (the order residue_key takes)."""
-    columns = []
-    for _ in range(n):
-        idx, c = np.divmod(idx, k)
-        columns.append(c)
-    return columns
 
 
 def _scaled_numerators(tables, count):

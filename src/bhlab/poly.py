@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import budgets
-from .arith import is_prime_u64, is_squarefree, factorize
+from .arith import factorize, is_prime_u64, is_squarefree, primes_below
 
 # Fixed traversal chunk geometry.  Monte Carlo chunks re-seed a Philox
 # stream at counter offset chunk_index * _PHILOX_STRIDE, which no chunk can
@@ -93,6 +93,16 @@ def roots_count_mod_prime(P, ell):
     return int(np.count_nonzero(values == 0))
 
 
+@lru_cache(maxsize=64)
+def local_root_counts(P, z):
+    """w_P(l) for every prime l < z, as a tuple in primes_below(z) order.
+
+    Cached, so every product and sum over the primes below z that takes
+    the same P and z shares one set of root counts.
+    """
+    return tuple(roots_count_mod_prime(P, ell) for ell in primes_below(z))
+
+
 def residue_key(coeffs, ell):
     """Mixed-radix index of coefficients (c0, ..., cd) reduced mod ell, c0
     least significant; entries are ints or int64 columns (vectorised)."""
@@ -102,16 +112,32 @@ def residue_key(coeffs, ell):
     return key
 
 
+def digit_columns(idx, base, n):
+    """The n base-`base` digits of each index in the int64 array idx, all
+    below base**n, least significant first, as int64 columns: the inverse
+    of residue_key."""
+    columns = []
+    for _ in range(n - 1):
+        quotient = idx // base  # np.divmod is slower than these three passes
+        columns.append(idx - quotient * base)
+        idx = quotient
+    if n:
+        columns.append(idx)
+    return columns
+
+
 @lru_cache(maxsize=64)
 def root_count_table(ell, d):
     """Flat table T of length ell**(d+1) with T[key] = root count mod ell.
 
     key = residue_key((c0, ..., cd), ell).  The identically-zero polynomial
     gets count ell (every residue is a root), which the enumeration
-    produces naturally.  Cached and shared, so returned read-only.
+    produces naturally.  Refused above the residue budget before anything
+    is allocated.  Cached and shared, so returned read-only.
     """
-    idx = np.arange(ell ** (d + 1), dtype=np.int64)
-    digits = [idx // ell**j % ell for j in range(d + 1)]
+    size = ell ** (d + 1)
+    budgets.check("residue root-count table", size, budgets.residue_budget())
+    digits = digit_columns(np.arange(size, dtype=np.int64), ell, d + 1)
     counts = sum(_horner_mod(digits, r, ell) == 0 for r in range(ell))
     counts.flags.writeable = False
     return counts
@@ -182,18 +208,15 @@ def _decode_exhaustive(spec, start, stop):
     """Coefficient rows for exhaustive indices [start, stop).
 
     Index order: c_d in 1..H outermost, then c_{d-1}, ..., c_0 innermost,
-    each low coefficient running -H..H.  Returns an int64 array of shape
-    (stop-start, d+1) with columns (c0, ..., cd).
+    each low coefficient running -H..H, so the base-(2H+1) digits of an
+    index are (c0 + H, ..., c_{d-1} + H, c_d - 1).  Returns an int64 array
+    of shape (stop-start, d+1) with columns (c0, ..., cd).
     """
     d, H = spec.d, spec.H
-    base = 2 * H + 1
     idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((len(idx), d + 1), dtype=np.int64)
-    out[:, d] = idx // base**d + 1
-    rem = idx % base**d
-    for j in range(d - 1, -1, -1):
-        out[:, j] = rem // base**j - H
-        rem = rem % base**j
+    out = np.column_stack(digit_columns(idx, 2 * H + 1, d + 1))
+    out -= H  # whole-array passes: a strided out[:, :d] is slower
+    out[:, d] += H + 1
     return out
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .arith import primes_below
-from .poly import roots_count_mod_prime
+from .poly import local_root_counts
 
 _MAX_SUPPORT_PRIMES = 24  # 2**24 subset enumerations; far beyond desk scale
 
@@ -180,8 +180,8 @@ def neutralised_bounds(P, z, lower, upper, squared=True):
             or upper.parity != "upper":
         raise ValueError("pass (lower, upper) weights built with equal y")
     fhat = {}
-    for ell in primes_below(z):
-        share = roots_count_mod_prime(P, ell) / ell
+    for ell, w in zip(primes_below(z), local_root_counts(P, z)):
+        share = w / ell
         fhat[ell] = 2 * share - share ** 2 if squared else share
     # fhat(l) = 1 where w_P(l) = l, so the [0, 1) check of sieve_sum does
     # not apply here.
@@ -200,7 +200,7 @@ def density_product(w, h):
 def truncated_density_product(P, z, squared=True):
     """prod_{l<z} (1 - w_P(l)/l)**(2 or 1), the quantity the bounds bracket."""
     acc = np.longdouble(1.0)
-    for ell in primes_below(z):
-        f = 1 - roots_count_mod_prime(P, ell) / np.longdouble(ell)
+    for ell, w in zip(primes_below(z), local_root_counts(P, z)):
+        f = 1 - w / np.longdouble(ell)
         acc *= f * f if squared else f
     return float(acc)

@@ -77,13 +77,12 @@ class TestSieve:
                                if trial_division_is_prime(n)]
 
     def test_below_is_strict(self):
-        table = sieve_primes(100)
-        assert table.below(7) == [2, 3, 5]
-        assert table.below(7.5) == [2, 3, 5, 7]
+        assert primes_below(7) == (2, 3, 5)
+        assert primes_below(7.5) == (2, 3, 5, 7)
 
     @pytest.mark.parametrize("z", [2, 2.5, 3, 3.0, 7.2, 100, 30000])
     def test_primes_below_matches_table(self, z):
-        want = sieve_primes(math.ceil(z)).below(z)
+        want = [p for p in sieve_primes(math.ceil(z)).tolist() if p < z]
         assert primes_below(z) == tuple(want)
         assert all(type(p) is int for p in primes_below(z))
 

@@ -50,6 +50,19 @@ class TestPsi:
         assert "psi_abs_from_one" in out
         assert f"value = {math.log(2):.15g}" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("psi", "--poly", "-3,0,0,1", "--x", "20"),
+        ("psi", "--x", "20", "--abs", "--poly", "-3,0,0,1"),
+        ("singular-series", "--poly", "-3,0,0,1", "--z", "30"),
+    ])
+    def test_negative_constant_term_space_form(self, capsys, argv):
+        # argparse alone reads "-3,0,0,1" as an option, not as a value
+        code, out = run(capsys, *argv)
+        i = argv.index("--poly")
+        want = run(capsys, *argv[:i], "--poly=" + argv[i + 1], *argv[i + 2:])
+        assert (code, out) == want
+        assert code == 0 and "# poly = (-3, 0, 0, 1)" in out
+
 
 class TestMoment:
     ARGS = ("moment", "--d", "2", "--H", "1", "--x", "1", "--z", "2",
@@ -232,6 +245,25 @@ class TestRefusals:
             "bv --X 10000000 --Q 3",
             "budget refusal: progression average sieve: requested size "
             "10000000 exceeds budget 1000000 (override with BHLAB_BUDGET)"),
+        "psi-abs-theta": ("psi --poly 1,0,1 --x 3 --abs --theta",
+                          "usage error: argument --theta: not allowed with "
+                          "argument --abs"),
+        "psi-theta-neg": ("psi --poly 1,0,1 --x 3 --theta --neg",
+                          "usage error: argument --neg: not allowed with "
+                          "argument --theta"),
+        "psi-neg-abs": ("psi --poly 1,0,1 --x 3 --neg --abs",
+                        "usage error: argument --abs: not allowed with "
+                        "argument --neg"),
+        # refused before the 2^63 limit is met, about 0.7 s into the sum
+        "psi-from-one-without-abs": (
+            "psi --poly 1,0,0,0,0,1 --x 100000 --from-one",
+            "usage error: --from-one requires --abs"),
+        "psi-theta-from-one": ("psi --poly 1,0,1 --x 3 --theta --from-one",
+                               "usage error: --from-one requires --abs"),
+        # refused before the Lambda-table limit
+        "moment-abs-from-one-without-abs": (
+            "moment --d 3 --H 1000 --x 1000 --z 2 --abs-from-one",
+            "usage error: --abs-from-one requires --abs"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -323,8 +355,10 @@ def cli_runs(draw):
     for flag in chosen:
         if flags[flag] is SWITCH or draw(st.sampled_from([0] * 29 + [1])):
             argv.append(flag)  # a missing value, unless a switch
-        else:
+        elif draw(st.booleans()):
             argv.append(f"{flag}={value(flag)}")
+        else:  # the space form, negative constant terms included
+            argv += [flag, value(flag)]
     if command == "sieve-check" and "--n-max" not in chosen:
         argv.append("--n-max=50")  # the default 10**5 takes seconds
     config = None

@@ -1,13 +1,26 @@
 import math
 
+import numpy as np
 import pytest
 
 from bhlab.eulerprod import (full_reference_product, nondiagonal_phi_sum,
-                             reference_product, singular_factor,
-                             totient_ratio_sums, truncated_bh_constant)
-from bhlab.arith import euler_phi, sieve_primes
-from bhlab.poly import IntPolynomial
+                             reference_product, totient_ratio_sums,
+                             truncated_bh_constant)
+from bhlab.arith import euler_phi, primes_below
+from bhlab.poly import IntPolynomial, roots_count_mod_prime
 from conftest import random_polynomial
+
+
+def per_prime_bh_constant(P, z):
+    """Reference: the singular-series loop that counts roots prime by
+    prime and stops at the first vanishing factor."""
+    acc = np.longdouble(1.0)
+    for ell in primes_below(z):
+        w = roots_count_mod_prime(P, ell)
+        if w == ell:
+            return 0.0
+        acc *= np.longdouble(ell - w) / np.longdouble(ell - 1)
+    return float(acc)
 
 # Apery's constant; the full totient product equals zeta(2)zeta(3)/zeta(6).
 ZETA3 = 1.2020569031595942854
@@ -30,17 +43,26 @@ class TestTruncatedConstant:
     def test_telescoping_refinement(self, rng):
         # appending the factor at prime l multiplies the previous value by
         # exactly that factor
-        primes = sieve_primes(50).below(50)
+        primes = primes_below(50)
         for _ in range(20):
             P = random_polynomial(rng, 2, 30)
             for ell, nxt in zip(primes, primes[1:]):
+                factor = (ell - roots_count_mod_prime(P, ell)) / (ell - 1)
                 left = truncated_bh_constant(P, nxt)
-                right = truncated_bh_constant(P, ell) * singular_factor(P, ell)
+                right = truncated_bh_constant(P, ell) * factor
                 assert left == pytest.approx(right, rel=1e-12, abs=1e-300)
 
     def test_domain(self):
         with pytest.raises(ValueError):
             truncated_bh_constant(IntPolynomial((1, 1)), 1.0)
+
+    @pytest.mark.parametrize("z", [6, 30, 300])
+    def test_equals_per_prime_loop(self, rng, z):
+        for i in range(50):
+            P = random_polynomial(rng, 1 + i % 3, 30)
+            if i % 5 == 0:  # content 6: vanishes identically mod 2 and 3
+                P = IntPolynomial(tuple(6 * c for c in P.coeffs))
+            assert truncated_bh_constant(P, z) == per_prime_bh_constant(P, z)
 
 
 class TestReferenceProduct:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bhlab import identities
+from bhlab import budgets, identities
 from bhlab.arith import factorize
 from bhlab.budgets import BudgetError
 from bhlab.identities import (multiplicative_average, omega_moment,
@@ -60,6 +60,15 @@ class TestResidueRootCount:
     def test_prime_validation(self):
         with pytest.raises(ValueError):
             residue_root_count((1, 1), 4)
+
+    def test_table_past_the_residue_budget_is_refused(self, monkeypatch):
+        # the table mod 10007 for d = 2 would take 10007**3 int64 entries
+        monkeypatch.delenv("BHLAB_BUDGET", raising=False)
+        with pytest.raises(BudgetError) as info:
+            residue_root_count((1, 0, 1), 10007)
+        assert info.value.requested == 10007**3
+        assert info.value.budget == budgets.DEFAULT_RESIDUE_BUDGET
+        assert str(info.value).startswith("residue root-count table: ")
 
 
 class TestOmegaMoment:

@@ -1,7 +1,8 @@
 """Layout rules for src/bhlab, checked on the syntax tree of every module.
 
 Each shared concept has one implementation: modules reach each other only
-through public names, and primes below a cutoff come from arith alone.
+through public names, primes below a cutoff come from arith alone, and the
+root counts w_P(l) from poly alone.
 """
 
 import ast
@@ -60,6 +61,16 @@ def test_sieve_primes_called_only_in_arith():
                 if name == "sieve_primes":
                     callers.add(module)
     assert callers == {"arith"}
+
+
+def test_roots_count_mod_prime_called_only_in_poly():
+    # products and sums over the primes below z take local_root_counts
+    callers = {module for module, tree in TREES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and "roots_count_mod_prime" in (
+                   getattr(node.func, "id", None),
+                   getattr(node.func, "attr", None))}
+    assert callers == {"poly"}
 
 
 def test_moment_kernel_gathers_without_masks():

@@ -4,13 +4,31 @@ import math
 import numpy as np
 import pytest
 
+from bhlab import budgets
+from bhlab.arith import primes_below
 from bhlab.budgets import BudgetError
 from bhlab.poly import (CHUNK_SIZE, FamilySpec, IntPolynomial,
-                        coefficient_chunks, eval_poly, iter_family,
-                        residue_key, root_count_table, roots_count_mod_prime,
-                        roots_count_mod_squarefree,
+                        _decode_exhaustive, coefficient_chunks,
+                        digit_columns, eval_poly, iter_family,
+                        local_root_counts, residue_key, root_count_table,
+                        roots_count_mod_prime, roots_count_mod_squarefree,
                         traverse_family, value_bound)
 from conftest import random_polynomial
+
+
+def column_by_column_decode(spec, start, stop):
+    """Reference: the exhaustive decoder as it was before digit_columns,
+    dividing by powers of the base from the lead coefficient down."""
+    d, H = spec.d, spec.H
+    base = 2 * H + 1
+    idx = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((len(idx), d + 1), dtype=np.int64)
+    out[:, d] = idx // base**d + 1
+    rem = idx % base**d
+    for j in range(d - 1, -1, -1):
+        out[:, j] = rem // base**j - H
+        rem = rem % base**j
+    return out
 
 
 class TestIntPolynomial:
@@ -74,6 +92,27 @@ class TestRootsCount:
             assert table[key] == roots_count_mod_prime(
                 IntPolynomial(coeffs), ell), coeffs
 
+    def test_table_refused_above_the_residue_budget(self, monkeypatch):
+        root_count_table.cache_clear()
+        monkeypatch.setenv("BHLAB_BUDGET", "10000")
+        with pytest.raises(BudgetError, match=(
+                r"residue root-count table: requested size 10201 exceeds "
+                r"budget 10000 \(override with BHLAB_BUDGET\)")):
+            root_count_table(101, 1)
+        monkeypatch.setenv("BHLAB_BUDGET", "10201")
+        assert len(root_count_table(101, 1)) == 101**2
+
+    def test_table_budget_checked_on_a_cache_miss_only(self, monkeypatch):
+        calls = []
+        check = budgets.check
+        monkeypatch.setattr(budgets, "check",
+                            lambda *args: calls.append(args) or check(*args))
+        root_count_table.cache_clear()
+        first = root_count_table(3, 2)
+        assert root_count_table(3, 2) is first
+        assert calls == [("residue root-count table", 27,
+                          budgets.residue_budget())]
+
     def test_bounded_by_degree(self, rng):
         for _ in range(200):
             P = random_polynomial(rng, 2, 50)
@@ -108,7 +147,46 @@ class TestRootsCount:
                 assert roots_count_mod_squarefree(P, k) == direct
 
 
+class TestLocalRootCounts:
+    @pytest.mark.parametrize("z", [2, 2.5, 30, 1000])
+    def test_per_prime_counts(self, rng, z):
+        for d in (1, 2, 3):
+            for _ in range(5):
+                P = random_polynomial(rng, d, 40)
+                want = [roots_count_mod_prime(P, ell)
+                        for ell in primes_below(z)]
+                assert local_root_counts(P, z) == tuple(want)
+
+    def test_cached(self):
+        P = IntPolynomial((3, -7, 2, 10))
+        assert local_root_counts(P, 500) is local_root_counts(P, 500)
+
+
+class TestDigitColumns:
+    @pytest.mark.parametrize("base", range(2, 32))
+    def test_inverse_of_residue_key(self, base):
+        for n in range(1, 5):
+            idx = np.arange(base**n, dtype=np.int64)
+            columns = digit_columns(idx, base, n)
+            assert len(columns) == n
+            assert all(c.dtype == np.int64 for c in columns)
+            assert all(((0 <= c) & (c < base)).all() for c in columns)
+            assert (residue_key(columns, base) == idx).all()
+
+
 class TestTraversal:
+    @pytest.mark.parametrize("d,H", [(1, 1), (1, 500), (2, 3), (2, 100),
+                                     (3, 20), (4, 2)])
+    def test_decode_matches_column_by_column_decoder(self, d, H):
+        spec = FamilySpec(d=d, H=H)
+        total = spec.family_size
+        for start, stop in ((0, total), (0, 1), (total - 1, total),
+                            (total // 3, min(total, total // 3 + CHUNK_SIZE))):
+            got = _decode_exhaustive(spec, start, stop)
+            want = column_by_column_decode(spec, start, stop)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert (got == want).all()
+
     def test_exhaustive_cardinality(self):
         count = traverse_family(FamilySpec(d=1, H=1), lambda acc, P: acc + 1, 0)
         assert count == 3

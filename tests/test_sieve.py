@@ -1,13 +1,45 @@
 import math
 
+import numpy as np
 import pytest
 
-from bhlab.arith import mobius, primorial, sieve_primes
-from bhlab.poly import IntPolynomial
+from bhlab.arith import mobius, primes_below, primorial
+from bhlab.poly import IntPolynomial, roots_count_mod_prime
 from bhlab.sieve import (build_brun_weights, density_product,
                          neutralised_bounds, sandwich_check, sieve_sum,
                          truncated_density_product, truncation_level)
 from conftest import random_polynomial
+
+
+def per_prime_density_product(P, z, squared):
+    """Reference: truncated_density_product counting roots per prime."""
+    acc = np.longdouble(1.0)
+    for ell in primes_below(z):
+        f = 1 - roots_count_mod_prime(P, ell) / np.longdouble(ell)
+        acc *= f * f if squared else f
+    return float(acc)
+
+
+def per_prime_bounds(P, z, lower, upper, squared):
+    """Reference: neutralised_bounds counting roots per prime, with the
+    weighted sum over the support written out."""
+    fhat = {}
+    for ell in primes_below(z):
+        share = roots_count_mod_prime(P, ell) / ell
+        fhat[ell] = 2 * share - share ** 2 if squared else share
+
+    def weighted(weights):
+        terms = []
+        for k in weights.support:
+            val = 1.0
+            for ell in primes_below(z):
+                if k % ell == 0:
+                    val *= fhat[ell]
+            terms.append(weights.table[k] * val)
+        return math.fsum(terms)
+
+    return weighted(lower), weighted(upper)
+
 
 DENSITIES = {
     "1/l": lambda l: 1 / l,
@@ -85,7 +117,7 @@ class TestSandwich:
         lower = build_brun_weights(10, 1e3, "lower")
         upper = build_brun_weights(10, 1e3, "upper")
         rep = sandwich_check(lower, upper, 500)
-        primes = sieve_primes(10).below(10)
+        primes = primes_below(10)
         for n in range(1, 501):
             ind = int(all(n % p for p in primes))
             assert lower.divisor_sum(n) <= ind <= upper.divisor_sum(n)
@@ -192,6 +224,20 @@ class TestNeutralisedBounds:
             assert got.lower <= direct + 1e-12
             assert direct <= got.upper + 1e-12
 
+    # z = 300 has 62 primes below it, past the 24 a weight support allows
+    @pytest.mark.parametrize("z", [6, 30, 90])
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_equals_per_prime_loop(self, rng, z, squared):
+        lower = build_brun_weights(z, 1e4, "lower")
+        upper = build_brun_weights(z, 1e4, "upper")
+        for i in range(50):
+            P = random_polynomial(rng, 1 + i % 3, 30)
+            if i % 5 == 0:  # content 6: vanishes identically mod 2 and 3
+                P = IntPolynomial(tuple(6 * c for c in P.coeffs))
+            got = neutralised_bounds(P, z, lower, upper, squared=squared)
+            want = per_prime_bounds(P, z, lower, upper, squared)
+            assert (got.lower, got.upper) == want
+
     def test_cutoff_mismatch(self):
         P = IntPolynomial((1, 0, 1))
         lower = build_brun_weights(6, 100, "lower")
@@ -200,11 +246,23 @@ class TestNeutralisedBounds:
             neutralised_bounds(P, 12, lower, upper)
 
 
+class TestTruncatedDensityProduct:
+    @pytest.mark.parametrize("z", [6, 30, 300])
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_equals_per_prime_loop(self, rng, z, squared):
+        for i in range(50):
+            P = random_polynomial(rng, 1 + i % 3, 30)
+            if i % 5 == 0:  # content 6: vanishes identically mod 2 and 3
+                P = IntPolynomial(tuple(6 * c for c in P.coeffs))
+            assert (truncated_density_product(P, z, squared=squared)
+                    == per_prime_density_product(P, z, squared))
+
+
 class TestMertensCondition:
     def test_probe_for_kappa_two_density(self):
         # empirical form of the sieve's density growth condition
         h = DENSITIES["(2l^2-2l+1)/l^3"]
-        primes = sieve_primes(10**4).below(10**4 + 1)
+        primes = primes_below(10**4 + 1)
         grid = [2, 3, 5, 10, 30, 100, 300, 1000, 3000, 10**4]
         for i, y1 in enumerate(grid):
             for y2 in grid[i + 1:]:
