@@ -10,6 +10,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .budgets import MAX_TABLE, LimitError
+
 # Deterministic Miller-Rabin witness set, valid for every n < 3.3 * 10^24
 # (in particular for all 64-bit inputs).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -110,9 +112,11 @@ def von_mangoldt(n):
 
 def sieve_primes(limit):
     """Ascending int64 array of all primes <= limit (empty when limit < 2),
-    by a sieve of Eratosthenes."""
+    by a sieve of Eratosthenes; refused above MAX_TABLE before allocating."""
     if limit < 2:
         return np.array([], dtype=np.int64)
+    if limit > MAX_TABLE:
+        raise LimitError("prime sieve", limit, MAX_TABLE)
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -210,8 +214,8 @@ def von_mangoldt_table(limit):
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
+    primes = sieve_primes(limit)  # refuses an oversize limit first
     table = np.zeros(limit + 1, dtype=np.float64)
-    primes = sieve_primes(limit)
     for i in range(0, len(primes), _LOG_CHUNK):
         chunk = primes[i : i + _LOG_CHUNK]
         table[chunk] = np.fromiter(map(math.log, chunk.tolist()),
@@ -229,9 +233,10 @@ def phi_table(limit):
     """numpy array F with F[n] = phi(n) for 1 <= n <= limit (F[0] = 0)."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    primes = sieve_primes(limit)  # refuses an oversize limit first
     table = np.arange(limit + 1, dtype=np.int64)
     table[0] = 0
-    for p in sieve_primes(limit).tolist():
+    for p in primes.tolist():
         table[p::p] -= table[p::p] // p
     return table
 

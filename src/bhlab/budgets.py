@@ -12,6 +12,10 @@ DEFAULT_FAMILY_BUDGET = 10**8       # exhaustive |Poly_d(H)| traversals
 DEFAULT_RESIDUE_BUDGET = 10**7      # residue-polynomial enumerations (k^(d+1))
 DEFAULT_PROGRESSION_BUDGET = 10**6  # sieve limit X for progression error sums
 
+# Largest prime sieve, Lambda, totient or sandwich table any caller builds:
+# a fixed memory limit, not a budget, so BHLAB_BUDGET does not lift it.
+MAX_TABLE = 2 * 10**8
+
 
 class BudgetError(Exception):
     """An enumeration was refused because it exceeds its budget."""

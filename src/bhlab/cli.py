@@ -199,11 +199,9 @@ def _moment_rows(args):
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     d, H, xs, zs, gamma = args.d, args.H, args.x, args.z, args.gamma
     mode = {"mc": "montecarlo"}.get(args.mode, args.mode)
-    if mode == "montecarlo":
-        spec = FamilySpec(d=d, H=H, mode=mode, sample_count=args.samples,
-                          seed=args.seed)
-    else:
-        spec = FamilySpec(d=d, H=H)
+    # exhaustive traversal ignores samples and seed
+    spec = FamilySpec(d=d, H=H, mode=mode, sample_count=args.samples,
+                      seed=args.seed)
     points = [(x, z) for x in xs
               for z in (zs if zs is not None else [max(float(x), 2.0) ** gamma])]
     for x, z in points:  # refused before any grid point runs

@@ -11,27 +11,37 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import phi_table, primes_below
-from .poly import local_root_counts
+from .poly import eval_poly, local_root_counts
 
 # Truncation standing in for the full prime product in reference values.
 FULL_PRODUCT_Z = 10**5
+
+
+def euler_product(factors):
+    """Product of the factors in the order given, accumulated in extended
+    precision, as a float."""
+    acc = np.longdouble(1.0)
+    for factor in factors:
+        acc *= factor
+    return float(acc)
 
 
 def truncated_bh_constant(P, z):
     """Truncated singular series of P at cutoff z.
 
     Product over primes l < z of (1 - 1/l)^(-1) * (1 - w_P(l)/l), where
-    w_P(l) counts roots of P mod l.  Zero as soon as some prime has every
-    residue as a root.
+    w_P(l) counts roots of P mod l.  Zero, before any root count, when a
+    prime l < z divides gcd(P(0), ..., P(d)): exactly then w_P(l) = l, as
+    the roots 0..d cover every residue mod l <= d and force P = 0 mod l > d.
     """
     if z <= 1:
         raise ValueError(f"cutoff must exceed 1, got {z}")
-    acc = np.longdouble(1.0)
-    for ell, w in zip(primes_below(z), local_root_counts(P, z)):
-        if w == ell:
-            return 0.0
-        acc *= np.longdouble(ell - w) / np.longdouble(ell - 1)
-    return float(acc)
+    primes = primes_below(z)
+    g = math.gcd(*(eval_poly(P, m) for m in range(P.degree + 1)))
+    if any(g % ell == 0 for ell in primes):
+        return 0.0
+    return euler_product(np.longdouble(ell - w) / np.longdouble(ell - 1)
+                         for ell, w in zip(primes, local_root_counts(P, z)))
 
 
 def reference_product(z):
@@ -42,10 +52,8 @@ def reference_product(z):
     """
     if z <= 1:
         raise ValueError(f"cutoff must exceed 1, got {z}")
-    acc = np.longdouble(1.0)
-    for ell in primes_below(z):
-        acc *= 1 + np.longdouble(1.0) / (np.longdouble(ell) * (ell - 1))
-    return float(acc)
+    return euler_product(1 + 1 / (np.longdouble(ell) * (ell - 1))
+                         for ell in primes_below(z))
 
 
 @lru_cache(maxsize=1)

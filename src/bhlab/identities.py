@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import budgets
-from .arith import factorize, is_prime_u64, is_squarefree
+from .arith import factorize, is_squarefree
 from .poly import digit_columns, residue_key, root_count_table
 
 _TILE = 1 << 20  # tuples per tile of the direct enumeration
@@ -21,8 +21,6 @@ _TILE = 1 << 20  # tuples per tile of the direct enumeration
 
 def residue_root_count(coeffs, ell):
     """Root count mod ell of the residue polynomial with these coefficients."""
-    if not is_prime_u64(ell):
-        raise ValueError(f"modulus must be prime, got {ell}")
     coeffs = tuple(coeffs)
     table = root_count_table(ell, len(coeffs) - 1)
     return int(table[residue_key(coeffs, ell)])
@@ -40,8 +38,6 @@ def omega_moment(ell, d, j):
     polynomials of degree <= d, next to the closed forms ell**(d+1) (j=1)
     and ell**d * (2*ell - 1) (j=2).
     """
-    if not is_prime_u64(ell):
-        raise ValueError(f"modulus must be prime, got {ell}")
     if j not in (1, 2):
         raise ValueError(f"moment order must be 1 or 2, got {j}")
     counts = root_count_table(ell, d)

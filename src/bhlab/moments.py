@@ -23,10 +23,6 @@ from .arith import (euler_phi, is_prime_u64, primes_below, von_mangoldt,
 from .poly import (coefficient_chunks, eval_poly, residue_key,
                    root_count_table, value_bound)
 
-# Largest von Mangoldt table any family accumulator will build; a fixed
-# memory limit, not a budget, so BHLAB_BUDGET does not lift it.
-_MAX_TABLE = 2 * 10**8
-
 
 # ---------------------------------------------------------------------------
 # scalar sums over one polynomial
@@ -36,11 +32,12 @@ def lambda_terms(P, x, which="nonzero", from_one=True):
     """Per-argument von Mangoldt terms of the m-sums, in ascending m.
 
     which selects the arguments kept: "positive" (P(m) > 0), "negative"
-    (P(m) < 0, evaluated at -P(m)), or "nonzero" (|P(m)|).  from_one picks
-    the range 1 <= m <= x; from_one=False starts at m = 2, the literal
-    range of the absolute-value sum.
+    (P(m) < 0, evaluated at -P(m)), "nonzero" (|P(m)|), or "prime" (P(m)
+    prime, whose term is log P(m)).  from_one picks the range 1 <= m <= x;
+    from_one=False starts at m = 2, the literal range of the absolute-value
+    sum.
     """
-    if which not in ("positive", "negative", "nonzero"):
+    if which not in ("positive", "negative", "nonzero", "prime"):
         raise ValueError(f"unknown term selector {which!r}")
     start = 1 if from_one else 2
     terms = []
@@ -52,6 +49,8 @@ def lambda_terms(P, x, which="nonzero", from_one=True):
             terms.append(von_mangoldt(-v))
         elif which == "nonzero" and v != 0:
             terms.append(von_mangoldt(abs(v)))
+        elif which == "prime" and v > 1 and is_prime_u64(v):
+            terms.append(math.log(v))
     return terms
 
 
@@ -76,12 +75,7 @@ def negative_part(P, x):
 
 def theta(P, x):
     """Sum of log P(n) over 1 <= n <= x with P(n) prime."""
-    terms = []
-    for n in range(1, int(x) + 1):
-        v = eval_poly(P, n)
-        if v > 1 and is_prime_u64(v):
-            terms.append(math.log(v))
-    return math.fsum(terms)
+    return math.fsum(lambda_terms(P, x, "prime"))
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +125,11 @@ def bv_average(X, Q, table=None):
     for q in range(1, Q + 1):
         phi_q = euler_phi(q)
         worst = 0.0
-        classes = [0] if q == 1 else [b for b in range(1, q)
-                                      if math.gcd(b, q) == 1]
-        for b in classes:
-            start = b if b >= 1 else q
-            ns = np.arange(start, X + 1, q, dtype=np.int64)
-            if len(ns) == 0:
-                worst = max(worst, X / phi_q)
-                continue
-            cs = np.cumsum(table[start : X + 1 : q])
+        # the unit classes b in 1..q (b = q is the one class of q = 1); each
+        # has a member b <= isqrt(X) <= X, since q <= isqrt(X) + 1
+        for b in (b for b in range(1, q + 1) if math.gcd(b, q) == 1):
+            ns = np.arange(b, X + 1, q, dtype=np.int64)
+            cs = np.cumsum(table[b : X + 1 : q])
             at_member = np.abs(cs - ns / phi_q)
             before = np.abs(np.concatenate(([0.0], cs[:-1])) - (ns - 1) / phi_q)
             if ns[0] == 1:
@@ -170,8 +160,9 @@ def diagonal_term(N, H, table=None):
         raise ValueError(f"H must be >= 1, got {H}")
     top = abs(N) + H
     if table is None:
-        if top > _MAX_TABLE:
-            raise budgets.LimitError("diagonal term sieve", top, _MAX_TABLE)
+        if top > budgets.MAX_TABLE:
+            raise budgets.LimitError("diagonal term sieve", top,
+                                     budgets.MAX_TABLE)
         table = von_mangoldt_table(top)
     ns = np.abs(np.arange(N - H, N + H + 1, dtype=np.int64))
     vals = table[ns]  # index 0 (the excluded c0 = -N) holds Lambda-table 0
@@ -206,10 +197,6 @@ class MomentReport:
     normalizer: int
     raw: dict
     mc_stderr: Optional[float] = None
-
-    @property
-    def direct(self):
-        return self.raw["direct"]
 
     def normalized(self, key):
         """Paper-style average: raw sum scaled onto 2^d H^(d+1) polynomials."""
@@ -353,12 +340,6 @@ def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
     }
 
 
-def _psi_kind(use_abs, abs_from_one):
-    if not use_abs:
-        return "psi"
-    return "abs_from_one" if abs_from_one else "abs"
-
-
 def _ordered_map(fn, items, threads):
     """Yield fn(item) in input order, computed on `threads` worker threads.
 
@@ -394,14 +375,16 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
         raise ValueError(f"x must be >= 0, got {x}")
     if not z > 1:  # nan included
         raise ValueError(f"z must exceed 1, got {z}")
+    if abs_from_one and not use_abs:
+        raise ValueError("abs_from_one requires use_abs")
     x = int(x)
     bound = value_bound(spec.d, spec.H, x)
-    if bound > _MAX_TABLE:
+    if bound > budgets.MAX_TABLE:
         raise budgets.LimitError("von Mangoldt table for the family moment",
-                                 bound, _MAX_TABLE)
+                                 bound, budgets.MAX_TABLE)
     factor_tables = _euler_factor_tables(spec.d, z) if center == "bh" else {}
     lam_table = von_mangoldt_table(max(bound, 1))
-    psi_kind = _psi_kind(use_abs, abs_from_one)
+    psi_kind = "abs_from_one" if abs_from_one else "abs" if use_abs else "psi"
     base = 2 * spec.H + 1 if spec.mode == "exhaustive" else None
 
     def work(item):

@@ -132,9 +132,11 @@ def root_count_table(ell, d):
 
     key = residue_key((c0, ..., cd), ell).  The identically-zero polynomial
     gets count ell (every residue is a root), which the enumeration
-    produces naturally.  Refused above the residue budget before anything
-    is allocated.  Cached and shared, so returned read-only.
+    produces naturally.  ell must be prime, and the table is refused above
+    the residue budget before it is allocated.  Cached, so read-only.
     """
+    if not is_prime_u64(ell):
+        raise ValueError(f"modulus must be prime, got {ell}")
     size = ell ** (d + 1)
     budgets.check("residue root-count table", size, budgets.residue_budget())
     digits = digit_columns(np.arange(size, dtype=np.int64), ell, d + 1)

@@ -14,6 +14,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .arith import primes_below
+from .budgets import MAX_TABLE, LimitError
+from .eulerprod import euler_product
 from .poly import local_root_counts
 
 _MAX_SUPPORT_PRIMES = 24  # 2**24 subset enumerations; far beyond desk scale
@@ -102,7 +104,7 @@ def sandwich_check(lower, upper, n_max):
     where ind(n) is 1 when n has no prime factor below w and 0 otherwise.
     On divisors of the primorial of w (the only values the neutraliser
     bounds consume) ind(n) coincides with the indicator of n = 1.
-    A violation is reported, not raised.
+    A violation is reported, not raised; n_max > MAX_TABLE is refused.
     """
     if (lower.w, lower.y) != (upper.w, upper.y):
         raise ValueError("weight pair must share the same w and y")
@@ -110,15 +112,18 @@ def sandwich_check(lower, upper, n_max):
         raise ValueError("pass (lower, upper) weights in that order")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    lo = np.zeros(n_max + 1, dtype=np.int64)
-    hi = np.zeros(n_max + 1, dtype=np.int64)
+    if n_max > MAX_TABLE:
+        raise LimitError("sandwich check arrays", n_max, MAX_TABLE)
+    # |sum lambda_k| <= 2**24, the support size, so the sums fit int32
+    lo = np.zeros(n_max + 1, dtype=np.int32)
+    hi = np.zeros(n_max + 1, dtype=np.int32)
     for sums, weights in ((lo, lower), (hi, upper)):
         for k, lam in weights.table.items():
             if k <= n_max:
                 sums[k::k] += lam
-    ind = np.ones(n_max + 1, dtype=np.int64)
+    ind = np.ones(n_max + 1, dtype=bool)
     for p in primes_below(lower.w):
-        ind[p::p] = 0
+        ind[p::p] = False
     bad = np.nonzero((lo[1:] > ind[1:]) | (hi[1:] < ind[1:]))[0] + 1
     return SandwichReport(
         checked=n_max,
@@ -128,18 +133,18 @@ def sandwich_check(lower, upper, n_max):
 
 
 def _weighted_sum(weights, density):
-    """sum_k lambda_k prod_{l | k} density(l) over the support, by fsum.
+    """sum_k lambda_k prod_{l | k} density[l] over the support, by fsum.
 
+    density maps each prime l below w, in ascending order, to its value.
     Support values are products of distinct primes below w, so the primes
     below w that divide k are exactly its prime factors.
     """
-    primes = primes_below(weights.w)
     terms = []
     for k in weights.support:
         val = 1.0
-        for ell in primes:
+        for ell, value in density.items():
             if k % ell == 0:
-                val *= density(ell)
+                val *= value
         terms.append(weights.table[k] * val)
     return math.fsum(terms)
 
@@ -151,13 +156,11 @@ def sieve_sum(weights, h):
     the squarefree support.  With the truncation inactive this telescopes
     to the product of (1 - h(l)) over primes below w.
     """
-    def checked(ell):
-        hv = h(ell)
+    density = {ell: h(ell) for ell in primes_below(weights.w)}
+    for ell, hv in density.items():
         if not 0.0 <= hv < 1.0:
             raise ValueError(f"density out of [0,1) at prime {ell}: {hv}")
-        return hv
-
-    return _weighted_sum(weights, checked)
+    return _weighted_sum(weights, density)
 
 
 class NeutralisedBounds(NamedTuple):
@@ -185,22 +188,17 @@ def neutralised_bounds(P, z, lower, upper, squared=True):
         fhat[ell] = 2 * share - share ** 2 if squared else share
     # fhat(l) = 1 where w_P(l) = l, so the [0, 1) check of sieve_sum does
     # not apply here.
-    return NeutralisedBounds(lower=_weighted_sum(lower, fhat.__getitem__),
-                             upper=_weighted_sum(upper, fhat.__getitem__))
+    return NeutralisedBounds(lower=_weighted_sum(lower, fhat),
+                             upper=_weighted_sum(upper, fhat))
 
 
 def density_product(w, h):
     """Direct product of (1 - h(l)) over primes below w (telescoping oracle)."""
-    acc = np.longdouble(1.0)
-    for ell in primes_below(w):
-        acc *= 1 - np.longdouble(h(ell))
-    return float(acc)
+    return euler_product(1 - np.longdouble(h(ell)) for ell in primes_below(w))
 
 
 def truncated_density_product(P, z, squared=True):
     """prod_{l<z} (1 - w_P(l)/l)**(2 or 1), the quantity the bounds bracket."""
-    acc = np.longdouble(1.0)
-    for ell, w in zip(primes_below(z), local_root_counts(P, z)):
-        f = 1 - w / np.longdouble(ell)
-        acc *= f * f if squared else f
-    return float(acc)
+    factors = (1 - w / np.longdouble(ell)
+               for ell, w in zip(primes_below(z), local_root_counts(P, z)))
+    return euler_product(f * f if squared else f for f in factors)

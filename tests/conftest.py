@@ -15,6 +15,11 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def bits(value):
+    """The float64 bit pattern of value, for bit-for-bit comparisons."""
+    return np.float64(value).view(np.uint64)
+
+
 def random_polynomial(rng, d, H, positive=False):
     """Uniform draw from the degree-d height-H family.
 

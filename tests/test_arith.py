@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bhlab.budgets import MAX_TABLE, LimitError
 from bhlab.arith import (chebyshev_psi, euler_phi, factorize, integer_root,
                          is_prime_u64, mobius, omega_distinct, phi_table,
                          primes_below, primorial, sieve_primes, von_mangoldt,
@@ -254,3 +256,23 @@ class TestPrimorial:
             primorial(1)
         with pytest.raises(ValueError):
             primorial(10**8)
+
+
+class TestFixedTableLimit:
+    def test_limit_value(self):
+        assert MAX_TABLE == 2 * 10**8
+
+    @pytest.mark.parametrize("builder", [sieve_primes, von_mangoldt_table,
+                                         phi_table])
+    def test_refused_above_the_limit_before_allocating(self, builder):
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitError) as exc:
+                builder(MAX_TABLE + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (
+            "prime sieve: requested size 200000001 exceeds the fixed limit "
+            "200000000")
+        assert peak < 1 << 20

@@ -396,3 +396,31 @@ def test_cli_contract_fuzz(run):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().splitlines()) <= 1
+
+
+class TestFixedLimitRefusals:
+    """Oversize prime sieves and sandwich arrays are refused, not a
+    MemoryError traceback with the failed-checks code."""
+
+    @pytest.mark.parametrize("argv,budget,want", [
+        ("sieve-check --n-max 10000000000000 --w-grid 6 --y-grid 50", None,
+         "budget refusal: sandwich check arrays: requested size "
+         "10000000000000 exceeds the fixed limit 200000000"),
+        ("singular-series --poly 1,0,1 --z 1e13", None,
+         "budget refusal: prime sieve: requested size 10000000000000 "
+         "exceeds the fixed limit 200000000"),
+        ("bv --X 1000000000000 --Q 3", "10000000000000",
+         "budget refusal: prime sieve: requested size 1000000000000 "
+         "exceeds the fixed limit 200000000"),
+    ])
+    def test_exit_3_with_one_line(self, argv, budget, want, capsys,
+                                  monkeypatch):
+        if budget is None:
+            monkeypatch.delenv("BHLAB_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("BHLAB_BUDGET", budget)
+        code = exit_code(argv.split())
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err == want + "\n"

@@ -1,14 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from bhlab.eulerprod import (full_reference_product, nondiagonal_phi_sum,
-                             reference_product, totient_ratio_sums,
-                             truncated_bh_constant)
+from bhlab import poly
+from bhlab.eulerprod import (euler_product, full_reference_product,
+                             nondiagonal_phi_sum, reference_product,
+                             totient_ratio_sums, truncated_bh_constant)
 from bhlab.arith import euler_phi, primes_below
-from bhlab.poly import IntPolynomial, roots_count_mod_prime
-from conftest import random_polynomial
+from bhlab.poly import (IntPolynomial, local_root_counts,
+                        roots_count_mod_prime)
+from conftest import bits, random_polynomial
 
 
 def per_prime_bh_constant(P, z):
@@ -106,3 +109,71 @@ class TestNondiagonalPhiSum:
                 (m2 - m1) / euler_phi(m2 - m1)
                 for m1 in range(1, x + 1) for m2 in range(m1 + 1, x + 1))
             assert nondiagonal_phi_sum(x) == pytest.approx(naive, rel=1e-12)
+
+
+def longdouble_reference_loop(z):
+    """Reference: reference_product as its own longdouble loop."""
+    acc = np.longdouble(1.0)
+    for ell in primes_below(z):
+        acc *= 1 + np.longdouble(1.0) / (np.longdouble(ell) * (ell - 1))
+    return float(acc)
+
+
+class TestEulerProduct:
+    def test_empty_product_is_one(self):
+        assert euler_product([]) == 1.0
+        assert type(euler_product([])) is float
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="longdouble is no wider than float64 here")
+    def test_accumulates_in_extended_precision(self):
+        # 1 + 2^-53 is a longdouble but rounds to 1.0 as a float64, so a
+        # float64 accumulation would return 1.0
+        f = 1 + np.longdouble(2.0) ** -53
+        assert euler_product([f, f]) == 1 + 2.0 ** -52
+
+    @pytest.mark.parametrize("z", [2, 6, 30, 1000])
+    def test_bh_constant_bits_equal_the_loop(self, rng, z):
+        for i in range(50):
+            P = random_polynomial(rng, 1 + i % 4, 30)
+            assert (bits(truncated_bh_constant(P, z))
+                    == bits(per_prime_bh_constant(P, z))), (P, z)
+
+    @pytest.mark.parametrize("z", [2, 6, 30, 1000])
+    def test_reference_product_bits_equal_the_loop(self, z):
+        assert bits(reference_product(z)) == bits(longdouble_reference_loop(z))
+
+
+def zero_rule_polynomials():
+    """Every P with coefficients in [-4, 4] and degree <= 3, plus a few
+    with a fixed prime divisor and some constants."""
+    polys = [IntPolynomial(c) for n in range(1, 5)
+             for c in itertools.product(range(-4, 5), repeat=n)
+             if n == 1 or c[-1] != 0]
+    extra = [(0, 1, 1), (0, -1, 0, 1), (6, 4, 2), (0, -1, 0, 0, 0, 1),
+             (0,), (1,), (-6,), (30,), (210,), (-7,)]
+    return polys + [IntPolynomial(c) for c in extra]
+
+
+class TestZeroRule:
+    @pytest.mark.parametrize("z", [2, 3, 7, 100])
+    def test_zero_iff_a_prime_has_every_residue_as_root(self, z):
+        for P in zero_rule_polynomials():
+            vanishes = any(w == ell for ell, w in
+                           zip(primes_below(z), local_root_counts(P, z)))
+            assert (truncated_bh_constant(P, z) == 0.0) == vanishes, (P, z)
+
+    def test_no_root_count_for_a_fixed_prime_divisor(self, monkeypatch):
+        calls = []
+
+        def spy(P, ell):
+            calls.append(ell)
+            return roots_count_mod_prime(P, ell)
+
+        monkeypatch.setattr(poly, "roots_count_mod_prime", spy)
+        local_root_counts.cache_clear()
+        assert truncated_bh_constant(IntPolynomial((6, 4, 2)), 30000) == 0.0
+        assert calls == []
+        # the spy does see the counts of a P without a fixed divisor
+        truncated_bh_constant(IntPolynomial((1, 0, 1)), 30)
+        assert calls == list(primes_below(30))

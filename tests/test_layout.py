@@ -82,3 +82,31 @@ def test_moment_kernel_gathers_without_masks():
     wheres = [node.lineno for node in ast.walk(kernel)
               if isinstance(node, ast.Attribute) and node.attr == "where"]
     assert wheres == []
+
+
+def test_longdouble_accumulator_only_in_euler_product():
+    # every product over primes accumulates through eulerprod.euler_product
+    def is_one(node):
+        return (isinstance(node, ast.Call)
+                and ast.unparse(node) == "np.longdouble(1.0)")
+
+    total = sum(is_one(node) for tree in TREES.values()
+                for node in ast.walk(tree))
+    sites = [(module, func.name) for module, tree in TREES.items()
+             for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func) if is_one(node)]
+    assert total == 1
+    assert sites == [("eulerprod", "euler_product")]
+
+
+def test_fixed_table_limit_assigned_only_in_budgets():
+    assigners = {module for module, tree in TREES.items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Assign, ast.AnnAssign,
+                                      ast.AugAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign)
+                                else [node.target])
+                 for name in ast.walk(target)
+                 if "MAX_TABLE" in (getattr(name, "id", None)
+                                    or getattr(name, "attr", None) or "")}
+    assert assigners == {"budgets"}

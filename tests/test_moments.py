@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bhlab.arith import chebyshev_psi, euler_phi, von_mangoldt_table
+from bhlab.arith import (chebyshev_psi, euler_phi, is_prime_u64,
+                         von_mangoldt_table)
 from bhlab import moments
 from bhlab.budgets import BudgetError
 from bhlab.eulerprod import truncated_bh_constant
@@ -478,3 +479,69 @@ class TestNondiagonalTerm:
                         total += lams[i] * lams[j]
         got = nondiagonal_term(spec, x)
         assert got == pytest.approx(total / spec.normalizer, rel=1e-9)
+
+
+def theta_loop(P, x):
+    """Reference: theta as its own m-loop."""
+    terms = []
+    for n in range(1, int(x) + 1):
+        v = eval_poly(P, n)
+        if v > 1 and is_prime_u64(v):
+            terms.append(math.log(v))
+    return math.fsum(terms)
+
+
+def bv_with_empty_class_branch(X, Q, table):
+    """Reference: bv_average with class 0 for q = 1 and a branch for a class
+    without members up to X."""
+    out = []
+    for q in range(1, Q + 1):
+        phi_q = euler_phi(q)
+        worst = 0.0
+        for b in [0] if q == 1 else [b for b in range(1, q)
+                                     if math.gcd(b, q) == 1]:
+            start = b if b >= 1 else q
+            ns = np.arange(start, X + 1, q, dtype=np.int64)
+            if len(ns) == 0:
+                worst = max(worst, X / phi_q)
+                continue
+            cs = np.cumsum(table[start : X + 1 : q])
+            before = np.abs(np.concatenate(([0.0], cs[:-1])) - (ns - 1) / phi_q)
+            if ns[0] == 1:
+                before[0] = 0.0
+            worst = max(worst, float(np.abs(cs - ns / phi_q).max()),
+                        float(before.max()), abs(cs[-1] - X / phi_q))
+        out.append(worst)
+    return math.fsum(out)
+
+
+class TestOneMLoop:
+    def test_theta_equals_its_own_loop(self, rng):
+        polys = [IntPolynomial(c) for c in [(1, 0, 1), (-3, 0, 1), (0, 1, 1),
+                                            (-7, 2, 1), (1,), (2,), (5, 1)]]
+        polys += [random_polynomial(rng, 1 + i % 3, 20) for i in range(30)]
+        for P in polys:
+            for x in (0, 1, 7, 300):
+                assert theta(P, x) == theta_loop(P, x), (P, x)
+
+    def test_prime_selector_keeps_log_of_prime_values(self):
+        P = IntPolynomial((1, 0, 1))  # values 2, 5, 10, 17, 26
+        assert lambda_terms(P, 5, "prime") == [math.log(2), math.log(5),
+                                               math.log(17)]
+
+
+class TestBvClasses:
+    def test_every_class_has_a_member_at_the_widest_range(self):
+        for X in range(1, 120):
+            Q = math.isqrt(X) + 1
+            table = von_mangoldt_table(X)
+            assert bv_average(X, Q) == bv_with_empty_class_branch(X, Q, table)
+
+
+class TestPsiVariantSelection:
+    def test_abs_from_one_without_abs_is_refused(self):
+        spec = FamilySpec(d=1, H=3)
+        with pytest.raises(ValueError, match="abs_from_one requires use_abs"):
+            second_moment(spec, 5, 3, abs_from_one=True)
+        report = second_moment(spec, 5, 3, use_abs=True, abs_from_one=True)
+        assert report.params["psi_variant"] == "abs_from_one"

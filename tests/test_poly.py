@@ -248,3 +248,10 @@ class TestTraversal:
             FamilySpec(d=1, H=1, mode="montecarlo")
         with pytest.raises(ValueError):
             FamilySpec(d=1, H=1, mode="sideways")
+
+
+class TestRootCountTableModulus:
+    @pytest.mark.parametrize("ell", [4, 1, 0, 9, 10**4])
+    def test_composite_modulus_refused(self, ell):
+        with pytest.raises(ValueError, match="modulus must be prime"):
+            root_count_table(ell, 1)

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bhlab.arith import mobius, primes_below, primorial
+from bhlab.budgets import MAX_TABLE, LimitError
 from bhlab.poly import IntPolynomial, roots_count_mod_prime
-from bhlab.sieve import (build_brun_weights, density_product,
+from bhlab.sieve import (SandwichReport, build_brun_weights, density_product,
                          neutralised_bounds, sandwich_check, sieve_sum,
                          truncated_density_product, truncation_level)
-from conftest import random_polynomial
+from conftest import bits, random_polynomial
 
 
 def per_prime_density_product(P, z, squared):
@@ -272,3 +274,95 @@ class TestMertensCondition:
                         prod *= 1 - h(ell)
                 ratio = (1 / prod) / (math.log(y2) / math.log(y1)) ** 2
                 assert ratio <= 1 + 10 / math.log(y1), (y1, y2)
+
+
+def longdouble_density_loop(w, h):
+    """Reference: density_product as its own longdouble loop."""
+    acc = np.longdouble(1.0)
+    for ell in primes_below(w):
+        acc *= 1 - np.longdouble(h(ell))
+    return float(acc)
+
+
+def int64_sandwich(lower, upper, n_max):
+    """Reference: sandwich_check with int64 sums and indicator."""
+    lo = np.zeros(n_max + 1, dtype=np.int64)
+    hi = np.zeros(n_max + 1, dtype=np.int64)
+    for sums, weights in ((lo, lower), (hi, upper)):
+        for k, lam in weights.table.items():
+            if k <= n_max:
+                sums[k::k] += lam
+    ind = np.ones(n_max + 1, dtype=np.int64)
+    for p in primes_below(lower.w):
+        ind[p::p] = 0
+    bad = np.nonzero((lo[1:] > ind[1:]) | (hi[1:] < ind[1:]))[0] + 1
+    return SandwichReport(checked=n_max, violations=len(bad),
+                          first_violation=int(bad[0]) if len(bad) else None)
+
+
+class TestEulerProductBits:
+    @pytest.mark.parametrize("z", [2, 6, 30, 1000])
+    def test_density_product(self, z):
+        for h in DENSITIES.values():
+            assert bits(density_product(z, h)) == bits(
+                longdouble_density_loop(z, h))
+
+    @pytest.mark.parametrize("z", [2, 6, 30, 1000])
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_truncated_density_product(self, rng, z, squared):
+        for i in range(50):
+            P = random_polynomial(rng, 1 + i % 4, 30)
+            assert bits(truncated_density_product(P, z, squared=squared)) \
+                == bits(per_prime_density_product(P, z, squared)), (P, z)
+
+
+class TestDensityTable:
+    @pytest.mark.parametrize("w,y", [(6, 50), (12, 1e5), (40, 40.0**26)])
+    def test_h_called_once_per_prime(self, w, y):
+        calls = []
+
+        def h(ell):
+            calls.append(ell)
+            return 1 / ell
+
+        sieve_sum(build_brun_weights(w, y, "upper"), h)
+        assert calls == list(primes_below(w))
+
+    def test_range_checked_at_a_prime_outside_the_support(self):
+        # level 0: the support is {1}, which no prime divides
+        weights = build_brun_weights(12, 50, "upper")
+        assert weights.support == [1]
+        with pytest.raises(ValueError, match="at prime 11"):
+            sieve_sum(weights, lambda ell: 1.5 if ell == 11 else 0.1)
+
+
+class TestSandwichArrays:
+    def test_equals_int64_sums_on_the_benchmark_grid(self):
+        for w in (6, 12, 20, 30, 40):
+            for y in (50, 1e3, 1e5, 1e7):
+                lower = build_brun_weights(w, y, "lower")
+                upper = build_brun_weights(w, y, "upper")
+                assert sandwich_check(lower, upper, 30000) == int64_sandwich(
+                    lower, upper, 30000), (w, y)
+
+    def test_broken_table_report_equals_int64_sums(self):
+        from dataclasses import replace
+        lower = build_brun_weights(12, 1e3, "lower")
+        upper = build_brun_weights(12, 1e3, "upper")
+        broken = replace(upper, table={**upper.table, 6: -1})
+        assert sandwich_check(lower, broken, 5000) == int64_sandwich(
+            lower, broken, 5000)
+        assert sandwich_check(lower, broken, 5000).violations > 0
+
+    def test_refused_above_the_fixed_limit_before_allocating(self):
+        lower = build_brun_weights(6, 100, "lower")
+        upper = build_brun_weights(6, 100, "upper")
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitError, match="exceeds the fixed limit "
+                               f"{MAX_TABLE}"):
+                sandwich_check(lower, upper, MAX_TABLE + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
