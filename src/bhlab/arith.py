@@ -5,12 +5,14 @@ integers; the *_table functions build numpy tables for bulk work.  All
 logarithms are natural.
 """
 
+import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 
-from .budgets import MAX_TABLE, LimitError
+from .budgets import check_table
 
 # Deterministic Miller-Rabin witness set, valid for every n < 3.3 * 10^24
 # (in particular for all 64-bit inputs).
@@ -23,6 +25,11 @@ VON_MANGOLDT_LIMIT = 2**63
 
 # Primes per math.log batch in von_mangoldt_table.
 _LOG_CHUNK = 1 << 12
+
+# factorize trial-divides by the primes below _TRIAL_CAP; Pollard-Brent rho
+# takes one gcd per _RHO_BATCH steps.
+_TRIAL_CAP = 1 << 10
+_RHO_BATCH = 128
 
 
 def is_prime_u64(n):
@@ -115,8 +122,7 @@ def sieve_primes(limit):
     by a sieve of Eratosthenes; refused above MAX_TABLE before allocating."""
     if limit < 2:
         return np.array([], dtype=np.int64)
-    if limit > MAX_TABLE:
-        raise LimitError("prime sieve", limit, MAX_TABLE)
+    check_table("prime sieve", limit)
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -135,28 +141,61 @@ def primes_below(z):
     return tuple(primes[: np.searchsorted(primes, z, side="left")].tolist())
 
 
+def _rho_factor(n):
+    """A nontrivial factor of the composite n, which has no prime factor
+    below _TRIAL_CAP: Pollard's rho on x -> x^2 + c mod n with Brent's
+    cycle search and one gcd per _RHO_BATCH steps."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch passed the collision: redo it step by step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def factorize(n):
-    """Prime factorization [(l, exponent), ...] by trial division."""
+    """Prime factorization [(l, exponent), ...] of 1 <= n < 2**63.
+
+    Trial division by the primes below _TRIAL_CAP; a cofactor left below
+    _TRIAL_CAP**2 is prime, and a larger one that is not prime is split by
+    Pollard-Brent rho.
+    """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    # the trial divisors cover isqrt(n); the limit is a power of two, never
-    # prime, so the primes below it are the primes up to it
-    limit = 1 << 10
-    while limit < math.isqrt(n):
-        limit *= 2
-    out = []
-    for p in primes_below(limit):
+    if n >= VON_MANGOLDT_LIMIT:
+        raise ValueError(f"factorize limited to n < 2^63, got {n}")
+    out = Counter()
+    for p in primes_below(_TRIAL_CAP):
         if p * p > n:
             break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    if n > 1:
-        out.append((n, 1))
-    return out
+        while n % p == 0:
+            n //= p
+            out[p] += 1
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if m < _TRIAL_CAP**2 or is_prime_u64(m):
+            out[m] += 1
+        else:
+            q = _rho_factor(m)
+            rest += [q, m // q]
+    return sorted(out.items())
 
 
 def mobius(n):

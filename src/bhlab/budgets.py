@@ -11,6 +11,7 @@ import os
 DEFAULT_FAMILY_BUDGET = 10**8       # exhaustive |Poly_d(H)| traversals
 DEFAULT_RESIDUE_BUDGET = 10**7      # residue-polynomial enumerations (k^(d+1))
 DEFAULT_PROGRESSION_BUDGET = 10**6  # sieve limit X for progression error sums
+DEFAULT_ROOT_COUNT_BUDGET = 10**8   # about pi(z) d^2 log2(z): w_P(l), l < z
 
 # Largest prime sieve, Lambda, totient or sandwich table any caller builds:
 # a fixed memory limit, not a budget, so BHLAB_BUDGET does not lift it.
@@ -62,8 +63,18 @@ def progression_budget():
     return _env_override() or DEFAULT_PROGRESSION_BUDGET
 
 
+def root_count_budget():
+    return _env_override() or DEFAULT_ROOT_COUNT_BUDGET
+
+
 def check(name, requested, budget):
     """Raise BudgetError when requested exceeds budget, one of the budgets
     above that BHLAB_BUDGET overrides."""
     if requested > budget:
         raise BudgetError(name, requested, budget)
+
+
+def check_table(name, size):
+    """Raise LimitError when a table of `size` entries exceeds MAX_TABLE."""
+    if size > MAX_TABLE:
+        raise LimitError(name, size, MAX_TABLE)

@@ -36,12 +36,14 @@ def truncated_bh_constant(P, z):
     """
     if z <= 1:
         raise ValueError(f"cutoff must exceed 1, got {z}")
-    primes = primes_below(z)
     g = math.gcd(*(eval_poly(P, m) for m in range(P.degree + 1)))
-    if any(g % ell == 0 for ell in primes):
+    # a prime dividing g != 0 is at most |g|, and 2 divides g = 0
+    cap = min(z, abs(g) + 1 if g else 3)
+    if any(g % ell == 0 for ell in primes_below(cap)):
         return 0.0
+    counts = local_root_counts(P, z)  # refused before primes_below(z) sieves
     return euler_product(np.longdouble(ell - w) / np.longdouble(ell - 1)
-                         for ell, w in zip(primes, local_root_counts(P, z)))
+                         for ell, w in zip(primes_below(z), counts))
 
 
 def reference_product(z):

@@ -9,6 +9,7 @@ Q evaluated once per head, and the values are formed in row tiles of a
 fixed size, so memory does not grow with x.
 """
 
+import bisect
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -18,9 +19,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import budgets
-from .arith import (euler_phi, is_prime_u64, primes_below, von_mangoldt,
-                    von_mangoldt_table)
-from .poly import (coefficient_chunks, eval_poly, residue_key,
+from .arith import (VON_MANGOLDT_LIMIT, euler_phi, is_prime_u64, primes_below,
+                    von_mangoldt, von_mangoldt_table)
+from .poly import (IntPolynomial, coefficient_chunks, eval_poly, residue_key,
                    root_count_table, value_bound)
 
 
@@ -40,6 +41,8 @@ def lambda_terms(P, x, which="nonzero", from_one=True):
     if which not in ("positive", "negative", "nonzero", "prime"):
         raise ValueError(f"unknown term selector {which!r}")
     start = 1 if from_one else 2
+    if value_bound(P.degree, P.height, x) >= VON_MANGOLDT_LIMIT:
+        _refuse_past_limit(P, int(x), which, start)
     terms = []
     for m in range(start, int(x) + 1):
         v = eval_poly(P, m)
@@ -52,6 +55,25 @@ def lambda_terms(P, x, which="nonzero", from_one=True):
         elif which == "prime" and v > 1 and is_prime_u64(v):
             terms.append(math.log(v))
     return terms
+
+
+def _refuse_past_limit(P, x, which, start):
+    """Raise the ValueError that lambda_terms would meet at its first
+    argument at or past 2^63, before any Lambda is evaluated.
+
+    |P(m)| <= B(m) = sum |c_j| m^j, which grows with m, so the scan starts
+    at the first m where B(m) reaches 2^63, found by bisection.
+    """
+    bound = IntPolynomial(tuple(abs(c) for c in P.coeffs))
+    first = bisect.bisect_left(range(start, x + 1), VON_MANGOLDT_LIMIT,
+                               key=bound)
+    for m in range(start + first, x + 1):
+        v = eval_poly(P, m)
+        arg = {"negative": -v, "nonzero": abs(v)}.get(which, v)
+        if arg >= VON_MANGOLDT_LIMIT:
+            limit = ("primality test limited to [0, 2^63)" if which == "prime"
+                     else "von_mangoldt limited to n < 2^63")
+            raise ValueError(f"{limit}, got {arg}")
 
 
 def psi(P, x):
@@ -160,9 +182,7 @@ def diagonal_term(N, H, table=None):
         raise ValueError(f"H must be >= 1, got {H}")
     top = abs(N) + H
     if table is None:
-        if top > budgets.MAX_TABLE:
-            raise budgets.LimitError("diagonal term sieve", top,
-                                     budgets.MAX_TABLE)
+        budgets.check_table("diagonal term sieve", top)
         table = von_mangoldt_table(top)
     ns = np.abs(np.arange(N - H, N + H + 1, dtype=np.int64))
     vals = table[ns]  # index 0 (the excluded c0 = -N) holds Lambda-table 0
@@ -379,9 +399,7 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
         raise ValueError("abs_from_one requires use_abs")
     x = int(x)
     bound = value_bound(spec.d, spec.H, x)
-    if bound > budgets.MAX_TABLE:
-        raise budgets.LimitError("von Mangoldt table for the family moment",
-                                 bound, budgets.MAX_TABLE)
+    budgets.check_table("von Mangoldt table for the family moment", bound)
     factor_tables = _euler_factor_tables(spec.d, z) if center == "bh" else {}
     lam_table = von_mangoldt_table(max(bound, 1))
     psi_kind = "abs_from_one" if abs_from_one else "abs" if use_abs else "psi"

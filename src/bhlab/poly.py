@@ -7,6 +7,7 @@ draws from a counter-based generator, so any chunk of draws can be
 regenerated independently.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -80,27 +81,176 @@ def _horner_mod(coeffs, r, ell):
     return acc
 
 
+# Primes up to this bound run on int64 lanes: a product of two residues,
+# at most (l - 1)**2, stays below 2**63.  Lanes of larger primes run the
+# same pass on object arrays.
+_INT64_PRIME_MAX = 3_037_000_499
+
+
+def _times_t(a, t_n, ell):
+    """a * t mod (f, ell) per lane, for a polynomial a of degree < n held as
+    its n residues and t_n = t**n mod f."""
+    shifted = np.zeros_like(a)
+    shifted[:, 1:] = a[:, :-1]
+    return (shifted + a[:, -1:] * t_n % ell) % ell
+
+
+@lru_cache(maxsize=None)
+def _sum_matrices(n):
+    """0/1 matrices for _square: `products` sums the n*n products a_i a_j
+    into the 2n coefficients of a * a (columns :2n) and of a * a * t
+    (columns 2n:); `fold` sums n rows of n residues."""
+    products = np.zeros((n * n, 4 * n), dtype=np.int64)
+    rows = np.arange(n * n)
+    i, j = np.divmod(rows, n)
+    products[rows, i + j] = 1
+    products[rows, 2 * n + i + j + 1] = 1
+    fold = np.zeros((n * n, n), dtype=np.int64)
+    fold[rows, j] = 1
+    return products, fold
+
+
+def _square(a, times_t, powers, ell):
+    """a * a, times t in the lanes where times_t is set, mod (f, ell);
+    powers[:, i] = t**(n+i) mod f.  Every product of two residues is
+    reduced before at most n of them are summed."""
+    k, n = a.shape
+    cell = ell[:, :, None]
+    products, fold = _sum_matrices(n)
+    both = (a[:, :, None] * a[:, None, :] % cell).reshape(k, n * n) @ products
+    both %= ell
+    full = np.where(times_t, both[:, 2 * n :], both[:, : 2 * n])
+    high = (full[:, n:, None] * powers % cell).reshape(k, n * n) @ fold
+    return (full[:, :n] + high % ell) % ell
+
+
+def _rank(rows, ell):
+    """Rank over F_ell of each lane's n x n matrix, all lanes in step.  The
+    pivot row p of column j clears it from each row r not yet a pivot as
+    p[j] r - r[j] p, which needs no inverse."""
+    k, n, _ = rows.shape
+    lanes = np.arange(k)
+    cell = ell[:, :, None]
+    free = np.ones((k, n), dtype=bool)
+    rank = np.zeros(k, dtype=np.int64)
+    for j in range(n):
+        column = rows[:, :, j]
+        candidates = free & (column != 0)
+        found = candidates.any(axis=1)
+        rank += found
+        if j == n - 1:
+            break
+        at = candidates.argmax(axis=1)
+        free[lanes, at] &= ~found
+        pivot = rows[lanes, at]
+        cleared = (pivot[:, None, j : j + 1] * rows % cell
+                   - column[:, :, None] * pivot[:, None, :] % cell) % cell
+        rows = np.where((free & found[:, None])[:, :, None], cleared, rows)
+    return rank
+
+
+def _distinct_degree_counts(rows, ell):
+    """deg gcd(f, t**ell - t) over F_ell per lane, for rows of residues of
+    a polynomial f of degree exactly n >= 1 and ell a column of primes.
+
+    f is replaced by the monic c**(n-1) f(t / c), c its leading
+    coefficient, whose roots are c times those of f.  t**ell mod f is
+    raised by binary powering over each lane's own exponent bits.  The
+    gcd of f and g = t**ell - t has degree n - rank of the map a -> g a on
+    F_ell[t]/(f), whose rows are g t**i mod f, i < n.
+    """
+    k, n = rows.shape[0], rows.shape[1] - 1
+    f = np.empty_like(rows[:, :n])
+    scale = np.ones_like(ell)
+    for i in reversed(range(n)):
+        f[:, i : i + 1] = rows[:, i : i + 1] * scale % ell
+        scale = scale * rows[:, n:] % ell
+    powers = np.empty((k, n, n), dtype=f.dtype)  # t**(n+i) mod f
+    powers[:, 0] = -f % ell
+    t_n = powers[:, 0]
+    for i in range(1, n):
+        powers[:, i] = _times_t(powers[:, i - 1], t_n, ell)
+    flat = ell[:, 0]
+    width = int(flat.max()).bit_length()
+    bits = (flat[:, None] >> np.arange(width - 1, -1, -1)) & 1 == 1
+    one = np.zeros_like(f)
+    one[:, 0] = 1
+    power = one
+    for i in range(width):
+        power = _square(power, bits[:, i : i + 1], powers, ell)
+    matrix = np.empty_like(powers)
+    matrix[:, 0] = (power - _times_t(one, t_n, ell)) % ell
+    for i in range(1, n):
+        matrix[:, i] = _times_t(matrix[:, i - 1], t_n, ell)
+    return n - _rank(matrix, ell)
+
+
+def _root_counts(coeffs, primes):
+    """int64 array of w_P(l), for P with integer coefficients (c0, ..., cd)
+    and each prime l of `primes`: the number of distinct roots of P mod l,
+    l where P = 0 mod l, 0 where it is a nonzero constant.
+
+    Every coefficient is reduced mod every prime exactly (Python ints).  A
+    lane where P mod l has degree n < d, as where l divides the leading
+    coefficient, runs as t**(d-n) P, whose roots are those of P and 0: one
+    more where P(0) != 0 mod l.  So every lane runs one distinct-degree
+    pass of degree d, on int64 arrays up to _INT64_PRIME_MAX and on
+    object arrays above it.
+    """
+    ell = np.array(primes, dtype=object)
+    residues = np.stack([c % ell for c in coeffs], axis=1)
+    d = len(coeffs) - 1
+    degrees = ((residues != 0) * np.arange(1, d + 2)).max(axis=1) - 1
+    counts = np.where(degrees < 0, ell, 0).astype(np.int64)
+    shift = d - degrees  # past d where P = 0 mod l: those lanes do not run
+    src = np.arange(d + 1) - shift[:, None]
+    rows = np.where(src >= 0, np.take_along_axis(residues, np.maximum(src, 0),
+                                                 axis=1), 0)
+    extra_root = (0 < shift) & (shift <= d) & (residues[:, 0] != 0)
+    small = ell <= _INT64_PRIME_MAX
+    for dtype, kind in ((np.int64, small), (object, ~small)):
+        lanes = np.flatnonzero((degrees >= 0) & kind)
+        if d and len(lanes):
+            counts[lanes] = _distinct_degree_counts(
+                rows[lanes].astype(dtype), ell[lanes, None].astype(dtype)
+            ) - extra_root[lanes]
+    return counts
+
+
 def roots_count_mod_prime(P, ell):
-    """Number of residues r mod ell with P(r) = 0, by direct enumeration.
+    """Number of residues r mod ell with P(r) = 0, for a prime ell < 2**63.
 
     If P vanishes identically mod ell, every residue is a root and the
-    count is ell.
+    count is ell.  One lane of the distinct-degree pass.
     """
     if not is_prime_u64(ell):
         raise ValueError(f"modulus must be prime, got {ell}")
-    r = np.arange(ell, dtype=np.int64)
-    values = _horner_mod([c % ell for c in P.coeffs], r, ell)
-    return int(np.count_nonzero(values == 0))
+    return int(_root_counts(P.coeffs, [ell])[0])
+
+
+def _root_count_cost(d, z):
+    """About pi(z) * d**2 * log2(z), the work of the distinct-degree pass
+    over the primes below z, from z alone: pi(z) < 1.25506 z / ln z
+    (Rosser and Schoenfeld)."""
+    if z <= 2:
+        return 0
+    return (math.ceil(1.25506 * z / math.log(z)) * max(d, 1) ** 2
+            * math.ceil(z).bit_length())
 
 
 @lru_cache(maxsize=64)
 def local_root_counts(P, z):
     """w_P(l) for every prime l < z, as a tuple in primes_below(z) order.
 
+    One distinct-degree pass over all the primes at once.  The fixed sieve
+    limit, then the root-count budget, are checked before the sieve runs.
     Cached, so every product and sum over the primes below z that takes
     the same P and z shares one set of root counts.
     """
-    return tuple(roots_count_mod_prime(P, ell) for ell in primes_below(z))
+    budgets.check_table("prime sieve", math.ceil(z))
+    budgets.check("local root counts", _root_count_cost(P.degree, z),
+                  budgets.root_count_budget())
+    return tuple(_root_counts(P.coeffs, primes_below(z)).tolist())
 
 
 def residue_key(coeffs, ell):

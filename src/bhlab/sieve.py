@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .arith import primes_below
-from .budgets import MAX_TABLE, LimitError
+from .budgets import check_table
 from .eulerprod import euler_product
 from .poly import local_root_counts
 
@@ -112,8 +112,7 @@ def sandwich_check(lower, upper, n_max):
         raise ValueError("pass (lower, upper) weights in that order")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max > MAX_TABLE:
-        raise LimitError("sandwich check arrays", n_max, MAX_TABLE)
+    check_table("sandwich check arrays", n_max)
     # |sum lambda_k| <= 2**24, the support size, so the sums fit int32
     lo = np.zeros(n_max + 1, dtype=np.int32)
     hi = np.zeros(n_max + 1, dtype=np.int32)

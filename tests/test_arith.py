@@ -235,6 +235,35 @@ class TestMultiplicativeFunctions:
     def test_factorize_grows_its_trial_divisors(self, n, factors):
         assert factorize(n) == factors
 
+    def test_factorize_round_trips_near_2_62(self, rng):
+        p, q = 2_147_483_659, 2_147_483_693  # consecutive primes past 2^31
+        cases = [p * q, p * p, 1_048_583**3, 2**62, 2**63 - 1,
+                 *(2**62 + int(v) for v in rng.integers(0, 2**61, 20))]
+        for n in cases:
+            factors = factorize(n)
+            primes = [ell for ell, _ in factors]
+            assert primes == sorted(set(primes))
+            assert all(is_prime_u64(ell) and e >= 1 for ell, e in factors)
+            assert math.prod(ell**e for ell, e in factors) == n
+        assert factorize(p * q) == [(p, 1), (q, 1)]
+        assert factorize(p * p) == [(p, 2)]
+
+    def test_factorize_past_the_old_sieve_limit(self):
+        # the trial divisors once had to reach isqrt(n), refused from 2^54
+        assert factorize(2**55 + 1) == [(3, 1), (11, 2), (683, 1),
+                                        (2971, 1), (48912491, 1)]
+        p, q = 2_147_483_659, 2_147_483_693
+        assert mobius(p * q) == 1
+        assert mobius(3 * p * 1_000_003) == -1
+        assert mobius(p * p) == 0
+        assert euler_phi(p * q) == (p - 1) * (q - 1)
+        assert omega_distinct(3 * p * 1_000_003) == 3
+
+    def test_factorize_refuses_2_63(self):
+        with pytest.raises(ValueError, match=(
+                r"^factorize limited to n < 2\^63, got 9223372036854775808$")):
+            factorize(2**63)
+
     def test_phi_table_matches_scalar(self):
         table = phi_table(3000)
         for n in range(1, 3001):

@@ -10,7 +10,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bhlab import moments
 from bhlab.cli import main
+from bhlab.poly import _root_count_cost, local_root_counts
 
 
 def run(capsys, *argv):
@@ -424,3 +426,53 @@ class TestFixedLimitRefusals:
         assert code == 3
         assert out == ""
         assert err == want + "\n"
+
+
+class TestRootCountBudgetRefusal:
+    def test_large_z_refused_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.delenv("BHLAB_BUDGET", raising=False)
+        code = exit_code(["singular-series", "--poly", "1,0,1", "--z", "1e8"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("budget refusal: local root counts: requested "
+                              "size ")
+        assert err.endswith(" exceeds budget 100000000 (override with "
+                            "BHLAB_BUDGET)\n")
+        assert len(err.splitlines()) == 1
+
+    def test_fixed_divisor_needs_no_count(self, capsys, monkeypatch):
+        monkeypatch.delenv("BHLAB_BUDGET", raising=False)
+        code, out = run(capsys, "singular-series", "--poly", "6,4,2",
+                        "--z", "1e8")
+        assert code == 0
+        assert out.endswith("value = 0\n")
+
+    def test_budget_lifts_the_refusal(self, capsys, monkeypatch):
+        argv = ["singular-series", "--poly", "-3,0,0,1", "--z", "1000"]
+        cost = _root_count_cost(3, 1000.0)
+        local_root_counts.cache_clear()  # the budget guards a cache miss
+        monkeypatch.setenv("BHLAB_BUDGET", str(cost - 1))
+        assert exit_code(argv) == 3
+        assert capsys.readouterr().err.startswith(
+            f"budget refusal: local root counts: requested size {cost} ")
+        monkeypatch.setenv("BHLAB_BUDGET", str(cost))
+        code, lifted = run(capsys, *argv)
+        assert code == 0
+        monkeypatch.delenv("BHLAB_BUDGET")
+        local_root_counts.cache_clear()
+        assert run(capsys, *argv) == (0, lifted)
+
+
+class TestPsiPastTheLimit:
+    def test_refused_before_any_lambda(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(moments, "von_mangoldt",
+                            lambda n: calls.append(n) or 0.0)
+        code = exit_code(["psi", "--poly", "1,0,0,1", "--x", "3000000"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == ("usage error: von_mangoldt limited to n < 2^63, "
+                       "got 9223372036854775809\n")
+        assert calls == []

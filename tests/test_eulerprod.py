@@ -165,12 +165,13 @@ class TestZeroRule:
 
     def test_no_root_count_for_a_fixed_prime_divisor(self, monkeypatch):
         calls = []
+        count = poly._root_counts
 
-        def spy(P, ell):
-            calls.append(ell)
-            return roots_count_mod_prime(P, ell)
+        def spy(coeffs, primes):
+            calls.extend(primes)
+            return count(coeffs, primes)
 
-        monkeypatch.setattr(poly, "roots_count_mod_prime", spy)
+        monkeypatch.setattr(poly, "_root_counts", spy)
         local_root_counts.cache_clear()
         assert truncated_bh_constant(IntPolynomial((6, 4, 2)), 30000) == 0.0
         assert calls == []

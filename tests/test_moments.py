@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bhlab.arith import (chebyshev_psi, euler_phi, is_prime_u64,
-                         von_mangoldt_table)
+                         von_mangoldt, von_mangoldt_table)
 from bhlab import moments
 from bhlab.budgets import BudgetError
 from bhlab.eulerprod import truncated_bh_constant
@@ -545,3 +545,59 @@ class TestPsiVariantSelection:
             second_moment(spec, 5, 3, abs_from_one=True)
         report = second_moment(spec, 5, 3, use_abs=True, abs_from_one=True)
         assert report.params["psi_variant"] == "abs_from_one"
+
+
+class TestPastTheLambdaLimit:
+    """Sums that meet an argument at or past 2^63 are refused before any
+    Lambda, with the error the first such argument raises."""
+
+    @staticmethod
+    def real_error(fn, n):
+        with pytest.raises(ValueError) as exc:
+            fn(n)
+        return str(exc.value)
+
+    @pytest.mark.parametrize("coeffs,fn,kind", [
+        ((1, 0, 0, 1), psi, "lambda"),
+        ((1, 0, 0, 1), psi_abs, "lambda"),
+        ((-1, 0, 0, -1), negative_part, "lambda"),
+        ((1, 0, 0, 1), theta, "prime"),
+    ])
+    def test_refused_before_any_term(self, monkeypatch, coeffs, fn, kind):
+        # P(2^21) = +-(2^63 + 1) is the first argument past the limit
+        want = self.real_error(
+            von_mangoldt if kind == "lambda" else is_prime_u64, 2**63 + 1)
+        calls = []
+        monkeypatch.setattr(moments, "von_mangoldt",
+                            lambda n: calls.append(n) or 0.0)
+        monkeypatch.setattr(moments, "is_prime_u64",
+                            lambda n: calls.append(n) or False)
+        with pytest.raises(ValueError) as exc:
+            fn(IntPolynomial(coeffs), 3_000_000)
+        assert str(exc.value) == want
+        assert calls == []
+
+    def test_first_argument_past_a_cancelling_bound(self):
+        # P = 2^60 (m - 4): the bound 2^60 m + 2^62 reaches 2^63 at m = 4,
+        # P itself at m = 12
+        P = IntPolynomial((-(2**62), 2**60))
+        want = self.real_error(von_mangoldt, 2**63)
+        for fn in (psi, psi_abs):
+            with pytest.raises(ValueError) as exc:
+                fn(P, 20)
+            assert str(exc.value) == want
+        # below m = 12 nothing is refused: 2^60, 2^61, 2^62 each add log 2
+        assert psi(P, 11) == math.fsum([math.log(2)] * 3)
+        assert negative_part(P, 20) == math.fsum(
+            [von_mangoldt(2**60 * k) for k in (3, 2, 1)])
+
+    def test_scan_only_where_the_bound_reaches_the_limit(self, monkeypatch):
+        scans = []
+        monkeypatch.setattr(moments, "_refuse_past_limit",
+                            lambda *args: scans.append(args))
+        P = IntPolynomial((3, -7, 2, 10))  # the benchmark's psi-abs shape
+        psi_abs(P, 200)
+        assert scans == []
+        Q = IntPolynomial((-(2**62), 2**60))  # value_bound(1, 2^62, 2) = 2^64
+        psi(Q, 2)
+        assert scans == [(Q, 2, "positive", 1)]

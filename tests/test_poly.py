@@ -1,12 +1,15 @@
+import importlib.util
 import itertools
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bhlab import budgets
-from bhlab.arith import primes_below
-from bhlab.budgets import BudgetError
+from bhlab import budgets, poly
+from bhlab.arith import is_prime_u64, primes_below
+from bhlab.budgets import BudgetError, LimitError
 from bhlab.poly import (CHUNK_SIZE, FamilySpec, IntPolynomial,
                         _decode_exhaustive, coefficient_chunks,
                         digit_columns, eval_poly, iter_family,
@@ -14,6 +17,39 @@ from bhlab.poly import (CHUNK_SIZE, FamilySpec, IntPolynomial,
                         roots_count_mod_prime, roots_count_mod_squarefree,
                         traverse_family, value_bound)
 from conftest import random_polynomial
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads",
+    Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+
+def residue_scan(coeffs, ell):
+    """Reference w_P(l): P evaluated at every residue mod l (int64 Horner
+    on coefficients reduced exactly), l < 2**31."""
+    r = np.arange(ell, dtype=np.int64)
+    acc = np.zeros(ell, dtype=np.int64)
+    for c in reversed(coeffs):
+        acc = (acc * r + c % ell) % ell
+    return int(np.count_nonzero(acc == 0))
+
+
+def edge_polynomials(rng):
+    """Random P of degree 1-6 with the lanes that need care: negative and
+    above-2**63 coefficients, leads that small primes divide, P = 0 mod l
+    (a common factor) and P = nonzero constant mod l (l | every c_j, j >= 1)."""
+    draw = random.Random(int(rng.integers(2**32)))
+    out = []
+    for d in range(1, 7):
+        for bound in (9, 2**40, 2**70):
+            for lead in (1, 2, 6, 30, 210, -(2**65) - 1):
+                out.append([draw.randint(-bound, bound) for _ in range(d)]
+                           + [lead])
+        out.append([2310 * draw.randint(-99, 99) for _ in range(d)] + [2310])
+        out.append([7] + [30 * draw.randint(-99, 99) for _ in range(d - 1)]
+                   + [30])
+    return out
 
 
 def column_by_column_decode(spec, start, stop):
@@ -147,6 +183,99 @@ class TestRootsCount:
                 assert roots_count_mod_squarefree(P, k) == direct
 
 
+class TestDistinctDegreePass:
+    def test_matches_residue_scan_below_2000(self, rng):
+        primes = primes_below(2000)
+        for coeffs in edge_polynomials(rng):
+            got = poly._root_counts(coeffs, primes).tolist()
+            want = [residue_scan(coeffs, ell) for ell in primes]
+            assert got == want, coeffs
+
+    def test_degenerate_lanes(self):
+        primes = primes_below(50)
+        zero = poly._root_counts([0, 0, 0], primes).tolist()
+        assert zero == list(primes)  # every residue is a root
+        assert poly._root_counts([12], primes).tolist() == [
+            ell if 12 % ell == 0 else 0 for ell in primes]
+        # t^2 + t = t(t + 1) mod 2 has both residues as roots; t^3 - t
+        # has all three mod 3 though l <= d
+        assert poly._root_counts([0, 1, 1], [2]).tolist() == [2]
+        assert poly._root_counts([0, -1, 0, 1], [2, 3]).tolist() == [2, 3]
+
+    # 3037000493 is the largest prime on the int64 lanes, 3037000507 the
+    # smallest on the object lanes
+    @pytest.mark.parametrize("ell", [
+        2_147_483_647, 3_037_000_493, 3_037_000_507, 2**61 - 1, 2**63 - 25])
+    def test_matches_the_benchmark_oracle_at_large_primes(self, rng, ell):
+        assert is_prime_u64(ell)
+        for coeffs in edge_polynomials(rng)[::5]:
+            assert (poly._root_counts(coeffs, [ell])[0]
+                    == workloads.distinct_roots_mod(coeffs, ell)), coeffs
+        # split polynomials: (t - a)(t - b)(t - c), a double root too
+        for roots in ((1, 2, 3), (5, 5, ell - 1), (0, ell - 7, 2**40)):
+            coeffs = [1]
+            for a in roots:  # multiply by (t - a)
+                coeffs = [(x - a * y) for x, y in
+                          zip([0] + coeffs, coeffs + [0])]
+            assert poly._root_counts(coeffs, [ell])[0] == len(set(roots))
+
+    def test_int64_and_object_lanes_in_one_pass(self, rng):
+        primes = [2, 3, 3_037_000_493, 3_037_000_507, 2**61 - 1]
+        for coeffs in edge_polynomials(rng)[::7]:
+            assert poly._root_counts(coeffs, primes).tolist() == [
+                workloads.distinct_roots_mod(coeffs, ell) for ell in primes]
+
+    def test_mersenne_61_examples(self):
+        ell = 2**61 - 1
+        assert roots_count_mod_prime(IntPolynomial((1, 0, 1)), ell) == 0
+        assert roots_count_mod_prime(IntPolynomial((-2, 0, 1)), ell) == 2
+        assert roots_count_mod_prime(IntPolynomial((0, -1, 0, 1)), ell) == 3
+
+    def test_squarefree_modulus_of_large_primes(self):
+        p, q = 2_147_483_659, 2_147_483_693  # k = pq is close to 2^62
+        P = IntPolynomial((-2, 0, 1))
+        want = (workloads.distinct_roots_mod([-2, 0, 1], p)
+                * workloads.distinct_roots_mod([-2, 0, 1], q))
+        assert roots_count_mod_squarefree(P, p * q) == want
+
+
+class TestRootCountBudget:
+    def test_default_admits_1e6_at_degree_6(self):
+        assert (poly._root_count_cost(6, 1e6)
+                <= budgets.DEFAULT_ROOT_COUNT_BUDGET)
+
+    def test_refused_before_the_sieve(self, monkeypatch):
+        monkeypatch.delenv("BHLAB_BUDGET", raising=False)
+        sieved = []
+        monkeypatch.setattr(poly, "primes_below",
+                            lambda z: sieved.append(z) or primes_below(z))
+        with pytest.raises(BudgetError, match=(
+                r"^local root counts: requested size \d+ exceeds budget "
+                r"100000000 \(override with BHLAB_BUDGET\)$")):
+            local_root_counts(IntPolynomial((1, 0, 1)), 1e8)
+        assert sieved == []
+
+    def test_cost_is_an_upper_bound_on_the_prime_count_term(self):
+        for z in (2.5, 3, 17, 1000, 10**5):
+            assert (poly._root_count_cost(1, z)
+                    >= len(primes_below(z)) * math.ceil(z).bit_length())
+        assert poly._root_count_cost(3, 2) == 0
+
+    def test_override(self, monkeypatch):
+        P = IntPolynomial((1, 0, 1))
+        cost = poly._root_count_cost(2, 200)
+        monkeypatch.setenv("BHLAB_BUDGET", str(cost - 1))
+        with pytest.raises(BudgetError, match=f"requested size {cost} "):
+            local_root_counts(P, 200)
+        monkeypatch.setenv("BHLAB_BUDGET", str(cost))
+        assert len(local_root_counts(P, 200)) == len(primes_below(200))
+
+    def test_fixed_sieve_limit_named_first(self, monkeypatch):
+        monkeypatch.delenv("BHLAB_BUDGET", raising=False)
+        with pytest.raises(LimitError, match="^prime sieve: "):
+            local_root_counts(IntPolynomial((1, 0, 1)), 1e13)
+
+
 class TestLocalRootCounts:
     @pytest.mark.parametrize("z", [2, 2.5, 30, 1000])
     def test_per_prime_counts(self, rng, z):
@@ -156,6 +285,14 @@ class TestLocalRootCounts:
                 want = [roots_count_mod_prime(P, ell)
                         for ell in primes_below(z)]
                 assert local_root_counts(P, z) == tuple(want)
+
+    @pytest.mark.parametrize("z", [2, 2.5, 30, 1000])
+    def test_equal_to_residue_scan(self, rng, z):
+        for d in (1, 2, 3, 4):
+            for _ in range(5):
+                P = random_polynomial(rng, d, 40)
+                assert local_root_counts(P, z) == tuple(
+                    residue_scan(P.coeffs, ell) for ell in primes_below(z))
 
     def test_cached(self):
         P = IntPolynomial((3, -7, 2, 10))
