@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .budgets import check_table
+from .budgets import MAX_FAMILY_TABLE, check_table
 
 # Deterministic Miller-Rabin witness set, valid for every n < 3.3 * 10^24
 # (in particular for all 64-bit inputs).
@@ -23,8 +23,19 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # and callers must stay below this.
 VON_MANGOLDT_LIMIT = 2**63
 
-# Primes per math.log batch in von_mangoldt_table.
+# Primes per math.log batch in von_mangoldt_table and CompactLambda.
 _LOG_CHUNK = 1 << 12
+
+# Odd numbers per segment of the prime sieve (a multiple of 8, so segments
+# pack into whole bytes): 2 MB of flags covering 4M integers.
+_SEGMENT = 1 << 21
+
+# CompactLambda: the bit of odd n within its bitset byte, by n mod 16 (0 for
+# even n), and the low bits of a value its patch filter is indexed by.
+_ODD_BIT = np.array([(1 << (r >> 1)) * (r & 1) for r in range(16)],
+                    dtype=np.uint8)
+_FILTER_BITS = 16
+_FILTER_MASK = (1 << _FILTER_BITS) - 1
 
 # factorize trial-divides by the primes below _TRIAL_CAP; Pollard-Brent rho
 # takes one gcd per _RHO_BATCH steps.
@@ -117,18 +128,40 @@ def von_mangoldt(n):
     return 0.0
 
 
+def _odd_prime_flags(limit):
+    """Yield (lo, flags) over the odd n <= limit, in ascending segments of at
+    most _SEGMENT odd numbers from lo = 1: flags[i] is True exactly when
+    lo + 2i is prime.
+
+    The one sieve of Eratosthenes: odd numbers only, segmented, so its
+    working memory is one segment and the odd primes up to isqrt(limit).
+    """
+    base = sieve_primes(math.isqrt(limit))[1:].tolist()  # the odd ones
+    for lo in range(1, limit + 1, 2 * _SEGMENT):
+        hi = min(lo + 2 * _SEGMENT - 2, limit)  # last integer covered
+        flags = np.ones((hi - lo) // 2 + 1, dtype=bool)
+        for p in base:
+            first = p * p
+            if first > hi:
+                break
+            if first < lo:  # the first odd multiple of p at or past lo
+                first = -(-lo // p) * p
+                first += p * (first % 2 == 0)
+            flags[(first - lo) // 2 :: p] = False
+        if lo == 1:
+            flags[0] = False  # 1 is not prime
+        yield lo, flags
+
+
 def sieve_primes(limit):
     """Ascending int64 array of all primes <= limit (empty when limit < 2),
-    by a sieve of Eratosthenes; refused above MAX_TABLE before allocating."""
+    by the odd-only segmented sieve; refused above MAX_TABLE before
+    sieving."""
     if limit < 2:
         return np.array([], dtype=np.int64)
     check_table("prime sieve", limit)
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+    return np.concatenate([[2]] + [np.flatnonzero(flags) * 2 + lo
+                                   for lo, flags in _odd_prime_flags(limit)])
 
 
 @lru_cache(maxsize=8)
@@ -242,6 +275,12 @@ def primorial(w):
     return math.prod(primes_below(w))
 
 
+def _math_logs(ints):
+    """math.log of each entry of an int64 array, as a float64 array."""
+    return np.fromiter(map(math.log, ints.tolist()), dtype=np.float64,
+                       count=len(ints))
+
+
 def von_mangoldt_table(limit):
     """numpy array L with L[n] = Lambda(n) for 0 <= n <= limit.
 
@@ -257,8 +296,7 @@ def von_mangoldt_table(limit):
     table = np.zeros(limit + 1, dtype=np.float64)
     for i in range(0, len(primes), _LOG_CHUNK):
         chunk = primes[i : i + _LOG_CHUNK]
-        table[chunk] = np.fromiter(map(math.log, chunk.tolist()),
-                                   dtype=np.float64, count=len(chunk))
+        table[chunk] = _math_logs(chunk)
     small = primes[: np.searchsorted(primes, math.isqrt(limit), "right")]
     for p in small.tolist():
         q = p * p
@@ -266,6 +304,68 @@ def von_mangoldt_table(limit):
             table[q] = table[p]
             q *= p
     return table
+
+
+class CompactLambda:
+    """Lambda(n) for 0 <= n <= limit in about limit/16 bytes, read by
+    L[values] like the dense von_mangoldt_table(limit), bit for bit.
+
+    An odd-only prime bitset (bit (n - 1) / 2 for odd n) gives np.log(n) on
+    the odd primes.  A sorted patch array holds what that misses: every
+    prime power p**a <= limit with a >= 2, the powers of two (2 included),
+    and the primes where np.log differs from math.log, found while sieving
+    by comparing the two on every prime.  A gather tests the bit, takes
+    np.log on the hits only, and patches by searchsorted the values whose
+    low _FILTER_BITS bits match some patch value.
+    """
+
+    def __init__(self, limit):
+        if limit < 0:
+            raise ValueError("limit must be nonnegative")
+        check_table("compact von Mangoldt table", limit, MAX_FAMILY_TABLE)
+        self.bits = np.zeros((limit >> 4) + 1, dtype=np.uint8)
+        values, logs = [], []
+        for lo, flags in _odd_prime_flags(limit):
+            at = (lo - 1) // 16  # segments hold a multiple of 8 odd numbers
+            packed = np.packbits(flags, bitorder="little")
+            self.bits[at : at + len(packed)] = packed
+            primes = np.flatnonzero(flags)
+            primes *= 2
+            primes += lo
+            for i in range(0, len(primes), _LOG_CHUNK):
+                chunk = primes[i : i + _LOG_CHUNK]
+                exact = _math_logs(chunk)
+                odd = np.log(chunk) != exact
+                values += chunk[odd].tolist()
+                logs += exact[odd].tolist()
+        for p in sieve_primes(max(math.isqrt(limit), 2)).tolist():
+            q = p * p if p > 2 else p
+            while q <= limit:
+                values.append(q)
+                logs.append(math.log(p))
+                q *= p
+        order = np.argsort(values)
+        # a sentinel past every value keeps each searchsorted index in range
+        self.values = np.append(np.array(values, dtype=np.int64)[order],
+                                np.iinfo(np.int64).max)
+        self.logs = np.append(np.array(logs, dtype=np.float64)[order], 0.0)
+        self.filter = np.zeros(1 << _FILTER_BITS, dtype=bool)
+        self.filter[self.values[:-1] & _FILTER_MASK] = True
+        self.nbytes = (self.bits.nbytes + self.values.nbytes
+                       + self.logs.nbytes + self.filter.nbytes)
+
+    def __getitem__(self, values):
+        """Lambda of each int64 entry of values, all in [0, limit]."""
+        v = np.ravel(values)
+        out = np.zeros(v.shape, dtype=np.float64)
+        prime = self.bits.take(v >> 4) & _ODD_BIT.take(v & 15)
+        hit = np.flatnonzero(prime.astype(bool))
+        out[hit] = np.log(v[hit])
+        near = np.flatnonzero(self.filter.take(v & _FILTER_MASK))
+        at = np.searchsorted(self.values, v[near])
+        found = self.values[at] == v[near]
+        out[near[found]] = self.logs[at[found]]
+        return out.reshape(np.shape(values))
 
 
 def phi_table(limit):

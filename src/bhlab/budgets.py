@@ -17,6 +17,10 @@ DEFAULT_ROOT_COUNT_BUDGET = 10**8   # about pi(z) d^2 log2(z): w_P(l), l < z
 # a fixed memory limit, not a budget, so BHLAB_BUDGET does not lift it.
 MAX_TABLE = 2 * 10**8
 
+# The family moment's Lambda limit: past a size cut it takes the compact
+# layer (a prime bitset, 125 MB at this limit), not a dense table.
+MAX_FAMILY_TABLE = 2 * 10**9
+
 
 class BudgetError(Exception):
     """An enumeration was refused because it exceeds its budget."""
@@ -74,7 +78,8 @@ def check(name, requested, budget):
         raise BudgetError(name, requested, budget)
 
 
-def check_table(name, size):
-    """Raise LimitError when a table of `size` entries exceeds MAX_TABLE."""
-    if size > MAX_TABLE:
-        raise LimitError(name, size, MAX_TABLE)
+def check_table(name, size, limit=MAX_TABLE):
+    """Raise LimitError when a table of `size` entries exceeds its fixed
+    limit, MAX_TABLE unless given."""
+    if size > limit:
+        raise LimitError(name, size, limit)

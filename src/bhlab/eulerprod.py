@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import phi_table, primes_below
+from .arith import VON_MANGOLDT_LIMIT, factorize, phi_table, primes_below
 from .poly import eval_poly, local_root_counts
 
 # Truncation standing in for the full prime product in reference values.
@@ -37,9 +37,12 @@ def truncated_bh_constant(P, z):
     if z <= 1:
         raise ValueError(f"cutoff must exceed 1, got {z}")
     g = math.gcd(*(eval_poly(P, m) for m in range(P.degree + 1)))
-    # a prime dividing g != 0 is at most |g|, and 2 divides g = 0
-    cap = min(z, abs(g) + 1 if g else 3)
-    if any(g % ell == 0 for ell in primes_below(cap)):
+    # the smallest prime factor of g, by factorize (no sieve) below 2^63
+    if g >= VON_MANGOLDT_LIMIT:
+        smallest = next((ell for ell in primes_below(z) if g % ell == 0), z)
+    else:  # 2 divides g = 0, and g = 1 has none
+        smallest = 2 if g == 0 else factorize(g)[0][0] if g > 1 else z
+    if smallest < z:
         return 0.0
     counts = local_root_counts(P, z)  # refused before primes_below(z) sieves
     return euler_product(np.longdouble(ell - w) / np.longdouble(ell - 1)

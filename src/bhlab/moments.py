@@ -19,8 +19,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import budgets
-from .arith import (VON_MANGOLDT_LIMIT, euler_phi, is_prime_u64, primes_below,
-                    von_mangoldt, von_mangoldt_table)
+from .arith import (VON_MANGOLDT_LIMIT, CompactLambda, euler_phi, is_prime_u64,
+                    primes_below, von_mangoldt, von_mangoldt_table)
 from .poly import (IntPolynomial, coefficient_chunks, eval_poly, residue_key,
                    root_count_table, value_bound)
 
@@ -274,6 +274,13 @@ def _euler_factor_tables(d, z):
             for ell in primes}
 
 
+# Largest value bound the family moment reads from a dense Lambda table;
+# past it the compact layer (about bound/16 bytes) is used.  A dense gather
+# of 2**20 random values is 3x faster at 5e5 entries, where the table fits
+# in cache, but only 1.2x from 4e6 entries on and 1.05x at 4e7, while the
+# dense table takes 128 times the memory.  So the cut caps it at 32 MB.
+_DENSE_CUT = 1 << 22
+
 # Row tile of the exhaustive and Monte Carlo kernel, in value entries: the
 # int64 values and float64 Lambda terms of one tile take 8 MB each.
 _TILE = 1 << 20
@@ -385,11 +392,13 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     truncated singular series S_P(z), and the five decomposition pieces.
     Each chunk evaluates Q(m) = sum_{j>=1} c_j m**j once per head (c1, ...,
     cd) and adds c0 per row, in row tiles of about 2**20 values, so each
-    worker's temporaries stay near 16 MB whatever x is.  Chunks run on
-    `threads` worker threads and merge in traversal order, so the result
-    does not depend on `threads`.  Monte Carlo mode adds the
-    standard error of the mean direct term from the sample variance; for a
-    mean this equals the delete-one jackknife standard error.
+    worker's temporaries stay near 24 MB whatever x is.  The Lambda terms
+    come from a dense table up to _DENSE_CUT, from the compact layer past
+    it.  Chunks run on `threads` worker threads and merge in traversal
+    order, so the result does not depend on `threads`.  Monte Carlo mode
+    adds the standard error of the mean direct term from the sample
+    variance; for a mean this equals the delete-one jackknife standard
+    error.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
@@ -399,9 +408,11 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
         raise ValueError("abs_from_one requires use_abs")
     x = int(x)
     bound = value_bound(spec.d, spec.H, x)
-    budgets.check_table("von Mangoldt table for the family moment", bound)
+    budgets.check_table("von Mangoldt table for the family moment", bound,
+                        budgets.MAX_FAMILY_TABLE)
     factor_tables = _euler_factor_tables(spec.d, z) if center == "bh" else {}
-    lam_table = von_mangoldt_table(max(bound, 1))
+    lam_table = (von_mangoldt_table(max(bound, 1)) if bound <= _DENSE_CUT
+                 else CompactLambda(bound))
     psi_kind = "abs_from_one" if abs_from_one else "abs" if use_abs else "psi"
     base = 2 * spec.H + 1 if spec.mode == "exhaustive" else None
 

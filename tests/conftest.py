@@ -31,3 +31,13 @@ def random_polynomial(rng, d, H, positive=False):
     if positive:
         coeffs[0] = abs(coeffs[0]) + (d + 1) * H * 20**d + 1
     return IntPolynomial(tuple(int(c) for c in coeffs))
+
+
+def residue_scan(coeffs, ell):
+    """Reference w_P(l): P evaluated at every residue mod l (int64 Horner
+    on coefficients reduced exactly), l < 2**31."""
+    r = np.arange(ell, dtype=np.int64)
+    acc = np.zeros(ell, dtype=np.int64)
+    for c in reversed(coeffs):
+        acc = (acc * r + c % ell) % ell
+    return int(np.count_nonzero(acc == 0))

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bhlab.budgets import MAX_TABLE, LimitError
-from bhlab.arith import (chebyshev_psi, euler_phi, factorize, integer_root,
-                         is_prime_u64, mobius, omega_distinct, phi_table,
-                         primes_below, primorial, sieve_primes, von_mangoldt,
-                         von_mangoldt_table)
+from bhlab.budgets import MAX_FAMILY_TABLE, MAX_TABLE, LimitError
+from bhlab.arith import (CompactLambda, chebyshev_psi, euler_phi, factorize,
+                         integer_root, is_prime_u64, mobius, omega_distinct,
+                         phi_table, primes_below, primorial, sieve_primes,
+                         von_mangoldt, von_mangoldt_table)
 
 
 def trial_division_lambda(n):
@@ -96,6 +96,17 @@ class TestSieve:
         assert 47 in table
         assert 49 not in table
 
+    # the segments hold 2**21 odd numbers: 4194304 integers each
+    @pytest.mark.parametrize("limit", [4194303, 4194304, 4194305, 4194307,
+                                       8388609, 10**7])
+    def test_segment_edges_against_a_plain_sieve(self, limit):
+        flags = np.ones(limit + 1, dtype=bool)
+        flags[:2] = False
+        for p in range(2, math.isqrt(limit) + 1):
+            if flags[p]:
+                flags[p * p :: p] = False
+        assert np.array_equal(sieve_primes(limit), np.flatnonzero(flags))
+
 
 class TestVonMangoldt:
     @pytest.mark.parametrize("n,expected", [
@@ -155,6 +166,64 @@ class TestVonMangoldt:
     def test_chebyshev_psi_small(self, lam_table_1e6):
         assert chebyshev_psi(10, table=lam_table_1e6) == pytest.approx(
             sum(von_mangoldt(n) for n in range(1, 11)))
+
+
+# limits 0-9, 2**k +- 1, 3**k, a prime power +- 1 (7**8), two sieve
+# segments +- 1, and 10**7
+COMPACT_LIMITS = ([0, 1, 2, 3, 4, 8, 9]
+                  + [2**k + e for k in (4, 10, 16, 20) for e in (-1, 1)]
+                  + [3**7, 3**13, 7**8 - 1, 7**8 + 1, 2**23 - 1, 2**23 + 1,
+                     10**7])
+
+
+class TestCompactLambda:
+    @pytest.mark.parametrize("limit", COMPACT_LIMITS)
+    def test_whole_range_bits_equal_the_dense_table(self, limit):
+        got = CompactLambda(limit)[np.arange(limit + 1, dtype=np.int64)]
+        want = von_mangoldt_table(limit)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_gather_keeps_the_shape(self, rng):
+        limit = 10**6
+        values = rng.integers(0, limit + 1, size=(300, 7))
+        got = CompactLambda(limit)[values]
+        assert got.shape == (300, 7)
+        assert np.array_equal(got, von_mangoldt_table(limit)[values])
+
+    def test_patches_hold_powers_and_log_exceptions(self):
+        limit = 10**6
+        layer = CompactLambda(limit)
+        patched = layer.values[:-1]
+        assert np.all(np.diff(patched) > 0)
+        table = von_mangoldt_table(limit)
+        primes = sieve_primes(limit)
+        powers = np.setdiff1d(np.flatnonzero(table), primes)
+        assert np.all(np.isin(np.append(powers, 2), patched))
+        assert np.array_equal(layer.logs[:-1], table[patched])
+        odd_primes = patched[np.isin(patched, primes) & (patched > 2)]
+        assert np.all(np.log(odd_primes) != table[odd_primes])
+
+    def test_size_is_a_sixteenth_byte_per_integer(self):
+        layer = CompactLambda(10**7)
+        assert layer.bits.nbytes == 10**7 // 16 + 1
+        assert layer.nbytes < 10**7 / 16 + 2**17
+
+    def test_limit(self):
+        assert MAX_FAMILY_TABLE == 2 * 10**9
+        with pytest.raises(ValueError):
+            CompactLambda(-1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitError) as exc:
+                CompactLambda(MAX_FAMILY_TABLE + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (
+            "compact von Mangoldt table: requested size 2000000001 exceeds "
+            "the fixed limit 2000000000")
+        assert peak < 1 << 20
 
 
 class TestIntegerRoot:

@@ -115,6 +115,7 @@ class TestMoment:
         from bhlab import moments
         built = []
         monkeypatch.setattr(moments, "von_mangoldt_table", built.append)
+        monkeypatch.setattr(moments, "CompactLambda", built.append)
         monkeypatch.setattr(moments, "root_count_table",
                             lambda ell, d: built.append((ell, d)))
         code = main(["moment", "--d", "2", "--H", "50", "--x", "1000"])
@@ -242,7 +243,11 @@ class TestRefusals:
         "lambda-table-limit": (
             "moment --d 3 --H 1000 --x 1000 --z 2",
             "budget refusal: von Mangoldt table for the family moment: "
-            "requested size 4000000000000 exceeds the fixed limit 200000000"),
+            "requested size 4000000000000 exceeds the fixed limit 2000000000"),
+        "lambda-table-limit-edge": (
+            "moment --d 3 --H 10000 --x 37 --z 10 --mode mc --samples 10",
+            "budget refusal: von Mangoldt table for the family moment: "
+            "requested size 2026120000 exceeds the fixed limit 2000000000"),
         "progression-budget": (
             "bv --X 10000000 --Q 3",
             "budget refusal: progression average sieve: requested size "

@@ -413,10 +413,63 @@ class TestHeadSharedKernel:
         assert peak < 128 * 2**20
 
 
+class TestCompactLayer:
+    """Past the dense cut the family moment gathers from the compact layer;
+    either layer gives the same report, bit for bit."""
+
+    @pytest.mark.parametrize("H,layer", [(2**20, "dense"),
+                                         (2**20 + 1, "compact")])
+    def test_both_sides_of_the_dense_cut(self, monkeypatch, H, layer):
+        # d = 1, x = 2: the value bound 4H is the cut itself, or just past
+        spec = FamilySpec(d=1, H=H, mode="montecarlo", sample_count=3000,
+                          seed=5)
+        assert (value_bound(1, H, 2) <= moments._DENSE_CUT) == (
+            layer == "dense")
+        built = []
+        for name in ("von_mangoldt_table", "CompactLambda"):
+            real = getattr(moments, name)
+            monkeypatch.setattr(moments, name, lambda n, name=name, real=real:
+                                built.append(name) or real(n))
+        report = second_moment(spec, 2, 10)
+        assert built == [{"dense": "von_mangoldt_table",
+                          "compact": "CompactLambda"}[layer]]
+        # the other layer, forced by moving the cut
+        monkeypatch.setattr(moments, "_DENSE_CUT",
+                            0 if layer == "dense" else 2**40)
+        other = second_moment(spec, 2, 10)
+        assert built[1] != built[0]
+        assert report.raw == other.raw
+        assert report.mc_stderr == other.mc_stderr
+
+    def test_threaded_montecarlo_equals_one_thread(self):
+        # value bound 3 * 3000 * 30**2 = 8.1e6, past the cut; 4 chunks
+        spec = FamilySpec(d=2, H=3000, mode="montecarlo",
+                          sample_count=3 * CHUNK_SIZE + 100, seed=3)
+        assert value_bound(2, 3000, 30) > moments._DENSE_CUT
+        one = second_moment(spec, 30, 30, threads=1)
+        two = second_moment(spec, 30, 30, threads=2)
+        assert one.raw == two.raw
+        assert one.mc_stderr == two.mc_stderr
+
+    def test_montecarlo_allocates_no_dense_table(self):
+        # the value bound 4e7 took a 320 MB float64 table
+        spec = FamilySpec(d=3, H=10000, mode="montecarlo", sample_count=1000,
+                          seed=1)
+        assert value_bound(3, 10000, 10) == 4 * 10**7
+        tracemalloc.start()
+        try:
+            second_moment(spec, 10, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
 class TestRootCountBudget:
     def test_refused_before_any_table(self, monkeypatch):
         built = []
         monkeypatch.setattr(moments, "von_mangoldt_table", built.append)
+        monkeypatch.setattr(moments, "CompactLambda", built.append)
         monkeypatch.setattr(moments, "root_count_table",
                             lambda ell, d: built.append((ell, d)))
         # sum over primes l < 1000 of l**3 is far above the residue budget

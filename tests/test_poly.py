@@ -16,23 +16,13 @@ from bhlab.poly import (CHUNK_SIZE, FamilySpec, IntPolynomial,
                         local_root_counts, residue_key, root_count_table,
                         roots_count_mod_prime, roots_count_mod_squarefree,
                         traverse_family, value_bound)
-from conftest import random_polynomial
+from conftest import random_polynomial, residue_scan
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_workloads",
     Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
 workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
-
-
-def residue_scan(coeffs, ell):
-    """Reference w_P(l): P evaluated at every residue mod l (int64 Horner
-    on coefficients reduced exactly), l < 2**31."""
-    r = np.arange(ell, dtype=np.int64)
-    acc = np.zeros(ell, dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = (acc * r + c % ell) % ell
-    return int(np.count_nonzero(acc == 0))
 
 
 def edge_polynomials(rng):

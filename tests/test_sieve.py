@@ -6,18 +6,18 @@ import pytest
 
 from bhlab.arith import mobius, primes_below, primorial
 from bhlab.budgets import MAX_TABLE, LimitError
-from bhlab.poly import IntPolynomial, roots_count_mod_prime
+from bhlab.poly import IntPolynomial
 from bhlab.sieve import (SandwichReport, build_brun_weights, density_product,
                          neutralised_bounds, sandwich_check, sieve_sum,
                          truncated_density_product, truncation_level)
-from conftest import bits, random_polynomial
+from conftest import bits, random_polynomial, residue_scan
 
 
 def per_prime_density_product(P, z, squared):
     """Reference: truncated_density_product counting roots per prime."""
     acc = np.longdouble(1.0)
     for ell in primes_below(z):
-        f = 1 - roots_count_mod_prime(P, ell) / np.longdouble(ell)
+        f = 1 - residue_scan(P.coeffs, ell) / np.longdouble(ell)
         acc *= f * f if squared else f
     return float(acc)
 
@@ -27,7 +27,7 @@ def per_prime_bounds(P, z, lower, upper, squared):
     weighted sum over the support written out."""
     fhat = {}
     for ell in primes_below(z):
-        share = roots_count_mod_prime(P, ell) / ell
+        share = residue_scan(P.coeffs, ell) / ell
         fhat[ell] = 2 * share - share ** 2 if squared else share
 
     def weighted(weights):
