@@ -357,11 +357,16 @@ class CompactLambda:
     def __getitem__(self, values):
         """Lambda of each int64 entry of values, all in [0, limit]."""
         v = np.ravel(values)
+        key = v >> 4  # one scratch array, freed before the output is made
+        prime = self.bits.take(key)
+        np.bitwise_and(v, 15, out=key)
+        prime &= _ODD_BIT.take(key)
+        np.bitwise_and(v, _FILTER_MASK, out=key)
+        near = np.flatnonzero(self.filter.take(key))
+        del key
+        hit = np.flatnonzero(prime)
         out = np.zeros(v.shape, dtype=np.float64)
-        prime = self.bits.take(v >> 4) & _ODD_BIT.take(v & 15)
-        hit = np.flatnonzero(prime.astype(bool))
         out[hit] = np.log(v[hit])
-        near = np.flatnonzero(self.filter.take(v & _FILTER_MASK))
         at = np.searchsorted(self.values, v[near])
         found = self.values[at] == v[near]
         out[near[found]] = self.logs[at[found]]

@@ -392,7 +392,7 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     truncated singular series S_P(z), and the five decomposition pieces.
     Each chunk evaluates Q(m) = sum_{j>=1} c_j m**j once per head (c1, ...,
     cd) and adds c0 per row, in row tiles of about 2**20 values, so each
-    worker's temporaries stay near 24 MB whatever x is.  The Lambda terms
+    worker's temporaries stay near 30 MB whatever x is.  The Lambda terms
     come from a dense table up to _DENSE_CUT, from the compact layer past
     it.  Chunks run on `threads` worker threads and merge in traversal
     order, so the result does not depend on `threads`.  Monte Carlo mode
