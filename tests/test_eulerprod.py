@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from bhlab import poly
+from bhlab import eulerprod, poly
+from bhlab.budgets import BudgetError
 from bhlab.eulerprod import (euler_product, full_reference_product,
                              nondiagonal_phi_sum, reference_product,
                              totient_ratio_sums, truncated_bh_constant)
@@ -178,3 +179,24 @@ class TestZeroRule:
         # the spy does see the counts of a P without a fixed divisor
         truncated_bh_constant(IntPolynomial((1, 0, 1)), 30)
         assert calls == list(primes_below(30))
+
+    def test_fixed_divisor_exit_without_a_sieve(self, monkeypatch):
+        # the smallest prime factor of the content comes from factorize
+        sieved = []
+        monkeypatch.setattr(eulerprod, "primes_below",
+                            lambda z: sieved.append(z) or primes_below(z))
+        big = 1000000007
+        assert truncated_bh_constant(
+            IntPolynomial((2 * big, 0, 2 * big)), 1e9) == 0.0
+        assert truncated_bh_constant(IntPolynomial((6, 4, 2)), 1e13) == 0.0
+        with pytest.raises(BudgetError, match="local root counts"):
+            truncated_bh_constant(IntPolynomial((big, 0, big)), 1e8)
+        assert sieved == []
+
+    def test_content_past_factorize_range(self):
+        # g >= 2^63 is checked against the primes below z
+        q = (2**61 - 1) ** 2
+        c = 3 * 2**64
+        assert truncated_bh_constant(IntPolynomial((c, 0, c)), 3) == 0.0
+        assert truncated_bh_constant(IntPolynomial((q, 0, q)), 30) == (
+            truncated_bh_constant(IntPolynomial((1, 0, 1)), 30))
