@@ -10,8 +10,9 @@ from .budgets import BudgetError
 from .eulerprod import (full_reference_product, nondiagonal_phi_sum,
                         reference_product, totient_ratio_sums,
                         truncated_bh_constant)
-from .identities import (multiplicative_average, omega_moment,
-                         residue_root_count, squared_factor_sum)
+from .identities import (by_root_count, multiplicative_average,
+                         omega_moment, residue_root_count,
+                         squared_factor_sum)
 from .moments import (MomentReport, ap_error, bv_average, diagonal_term,
                       lambda_terms, negative_part, nondiagonal_term, psi,
                       psi_abs, second_moment, theta)

@@ -110,13 +110,12 @@ def cmd_identities(args):
         report(f"squared-factor sum k={k}: {pair.enumerated} == "
                f"{pair.closed_form}", pair.enumerated == pair.closed_form)
     local_factors = {
-        "w/l": lambda c, ell: Fraction(identities.residue_root_count(c, ell), ell),
-        "1-w/l": lambda c, ell: 1 - Fraction(
-            identities.residue_root_count(c, ell), ell),
-        "(1-w/l)^2": lambda c, ell: (1 - Fraction(
-            identities.residue_root_count(c, ell), ell)) ** 2,
+        "w/l": lambda w, ell: Fraction(w, ell),
+        "1-w/l": lambda w, ell: 1 - Fraction(w, ell),
+        "(1-w/l)^2": lambda w, ell: (1 - Fraction(w, ell)) ** 2,
     }
-    for label, g in local_factors.items():
+    for label, f in local_factors.items():
+        g = identities.by_root_count(f)
         for d in (1, 2):
             bad = [k for k in SQUAREFREE_30
                    if (pair := identities.multiplicative_average(g, k, d))

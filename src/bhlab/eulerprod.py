@@ -36,6 +36,8 @@ def truncated_bh_constant(P, z):
     """
     if z <= 1:
         raise ValueError(f"cutoff must exceed 1, got {z}")
+    if not math.isfinite(z):
+        raise ValueError(f"cutoff must be finite, got {z}")
     g = math.gcd(*(eval_poly(P, m) for m in range(P.degree + 1)))
     # the smallest prime factor of g, by factorize (no sieve) below 2^63
     if g >= VON_MANGOLDT_LIMIT:

@@ -51,15 +51,64 @@ class AveragePair(NamedTuple):
     product: object
 
 
+class _ByRootCount:
+    """g(coeffs, l) = f(w, l), w the root count mod l of the coefficients."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __call__(self, coeffs, ell):
+        return self.f(residue_root_count(coeffs, ell), ell)
+
+
+def by_root_count(f):
+    """The local factor g(coeffs, l) = f(w, l) with w the root count mod l.
+
+    The result is an ordinary g for multiplicative_average, which tabulates
+    it from root_count_table(l, d) alone, with no residue_root_count call:
+    f is called once per root count that occurs (0..min(d, l), and l for
+    the zero polynomial), at most d + 2 times per prime.
+    """
+    return _ByRootCount(f)
+
+
+def _local_table(g, ell, d):
+    """(values, index): the table of g over the ell**(d+1) residue tuples,
+    in itertools.product order, is values[index]; index None means values
+    is the whole table."""
+    if not isinstance(g, _ByRootCount):
+        tuples = itertools.product(range(ell), repeat=d + 1)
+        return [g(coeffs, ell) for coeffs in tuples], None
+    # root counts run over 0..min(d, l), and l > d only at the zero
+    # polynomial, which index d + 1 stands for; the transpose turns the
+    # residue_key order (c0 least significant) into itertools.product order
+    counts = root_count_table(ell, d).reshape((ell,) * (d + 1)).T.ravel()
+    values = [g.f(w, ell) for w in range(min(d, ell) + 1)]
+    if ell > d:
+        values.append(g.f(ell, ell))
+    return values, np.minimum(counts, d + 1)
+
+
+def _table_sum(values, index):
+    """sum(values[index]), in enumeration order unless every value is an
+    int or a Fraction, whose exact sum is taken from a histogram of index."""
+    if index is None:
+        return sum(values)
+    if set(map(type, values)) <= {int, bool, Fraction}:
+        return sum(int(n) * v for n, v in zip(np.bincount(index), values))
+    return sum(np.fromiter(values, dtype=object, count=len(values))[index])
+
+
 def _residue_family_sums(g, k, d, label):
     """Both sides of the sum over P0 in (Z/kZ)[t], deg <= d, of
     prod_{l | k} g(P0 mod l, l).
 
-    g is tabulated once per prime l | k over the l**(d+1) residue tuples.
-    The direct side enumerates every tuple mod k, in tiles of at most
-    _TILE tuples held as int64 digit columns, and reduces each column mod
-    each l into the table index (no Chinese remainder shortcut); the
-    product side multiplies the per-prime table sums.
+    g is tabulated once per prime l | k over the l**(d+1) residue tuples
+    (from the root-count table when g comes from by_root_count).  The
+    direct side enumerates every tuple mod k, in tiles of at most _TILE
+    tuples held as int64 digit columns, and reduces each column mod each l
+    into the table index (no Chinese remainder shortcut); the product side
+    multiplies the per-prime table sums.
     """
     if k < 1:
         raise ValueError(f"modulus must be positive, got {k}")
@@ -67,12 +116,10 @@ def _residue_family_sums(g, k, d, label):
         raise ValueError(f"modulus must be squarefree, got {k}")
     budgets.check(label, k ** (d + 1), budgets.residue_budget())
     primes = [ell for ell, _ in factorize(k)]
-    tables = [[g(coeffs, ell)
-               for coeffs in itertools.product(range(ell), repeat=d + 1)]
-              for ell in primes]
+    tables = [_local_table(g, ell, d) for ell in primes]
     product = 1
-    for table in tables:
-        product *= sum(table)
+    for values, index in tables:
+        product *= _table_sum(values, index)
     return _direct_sum(tables, primes, k, d), product
 
 
@@ -86,14 +133,18 @@ def _direct_sum(tables, primes, k, d):
     are scaled to int64 numerators over a per-prime common denominator and
     summed exactly; when a partial sum could reach 2**63, or a value is
     not an int or a Fraction, the same tiles run on object arrays and are
-    summed term by term in enumeration order.
+    summed term by term in enumeration order.  Each (values, index) table
+    is scaled on its values and then gathered by its index.
     """
-    scaled = _scaled_numerators(tables, k ** (d + 1))
+    scaled = _scaled_numerators([values for values, _ in tables],
+                                k ** (d + 1))
     if scaled is None:
-        factors = [np.fromiter(table, dtype=object, count=len(table))
-                   for table in tables]
+        factors = [np.fromiter(values, dtype=object, count=len(values))
+                   for values, _ in tables]
     else:
         factors, denominator, rational = scaled
+    factors = [factor if index is None else factor[index]
+               for factor, (_, index) in zip(factors, tables)]
     m = 0
     while m < d and k ** (m + 1) <= _TILE:
         m += 1
@@ -148,7 +199,9 @@ def multiplicative_average(g, k, d):
     returned so the multiplicativity claim is genuinely tested.
 
     g takes (coeff tuple reduced mod l, l) and may return any numeric type
-    (Fraction included); sums stay in that type.
+    (Fraction included); sums stay in that type.  A g that depends on the
+    coefficients only through their root count should come from
+    by_root_count, which calls f per root count instead of per tuple.
     """
     direct, product = _residue_family_sums(
         g, k, d, "residue average enumeration")
@@ -167,12 +220,12 @@ def squared_factor_sum(k, d):
     w = root count of P0 mod l, in exact rationals.  Right: the closed form
     prod_{l|k} (2*l**d - 2*l**(d-1) + l**(d-2)).
     """
-    def local_factor(coeffs, ell):
-        w = residue_root_count(coeffs, ell)
+    def local_factor(w, ell):
         return Fraction(2 * w, ell) - Fraction(w * w, ell * ell)
 
     enumerated, _ = _residue_family_sums(
-        local_factor, k, d, "residue squared-factor enumeration")
+        by_root_count(local_factor), k, d,
+        "residue squared-factor enumeration")
     closed = Fraction(1)
     for ell, _ in factorize(k):
         closed *= (2 * Fraction(ell) ** d - 2 * Fraction(ell) ** (d - 1)

@@ -74,6 +74,10 @@ def build_brun_weights(w, y, parity, level=None):
         raise ValueError(f"prime cutoff must be >= 2, got {w}")
     if y < 2:
         raise ValueError(f"support cutoff must be >= 2, got {y}")
+    if not math.isfinite(w):
+        raise ValueError(f"prime cutoff must be finite, got {w}")
+    if not math.isfinite(y):
+        raise ValueError(f"support cutoff must be finite, got {y}")
     if level is None:
         level = truncation_level(w, y, parity)
     elif level % 2 != (0 if parity == "upper" else 1):

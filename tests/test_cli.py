@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bhlab import moments
+from bhlab import identities, moments
 from bhlab.cli import main
 from bhlab.poly import _root_count_cost, local_root_counts
 
@@ -112,7 +112,7 @@ class TestMoment:
     def test_root_count_tables_over_budget_exit_3(self, monkeypatch, capsys):
         # z defaults to x = 1000: the Lambda table would fit its limit, the
         # root-count tables for d = 2 (sum of l**3 over l < 1000) do not
-        from bhlab import moments
+        from bhlab import identities, moments
         built = []
         monkeypatch.setattr(moments, "von_mangoldt_table", built.append)
         monkeypatch.setattr(moments, "CompactLambda", built.append)
@@ -156,6 +156,17 @@ class TestSuites:
         assert code == 0
         assert "0 failures" in out
         assert "FAIL" not in out
+
+    def test_identities_counts_no_roots_per_tuple(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(identities, "residue_root_count",
+                            lambda *args: calls.append(args))
+        code, out = run(capsys, "identities")
+        assert calls == []
+        assert code == 0
+        lines = out.splitlines()
+        assert sum(line.startswith("PASS  ") for line in lines) == 49
+        assert lines[-1] == "0 failures"
 
     def test_sieve_check_passes(self, capsys):
         code, out = run(capsys, "sieve-check", "--n-max", "2000",
@@ -229,7 +240,22 @@ class TestRefusals:
         "series-z-1": ("singular-series --poly 1,0,1 --z 1",
                        "usage error: cutoff must exceed 1"),
         "series-z-inf": ("singular-series --poly 1,0,1 --z inf",
-                         "usage error: "),
+                         "usage error: cutoff must be finite, got inf"),
+        "series-z-nan": ("singular-series --poly 1,0,1 --z nan",
+                         "usage error: cutoff must be finite, got nan"),
+        # refused before the fixed-divisor exit (2 divides every value)
+        "series-fixed-divisor-z-inf": (
+            "singular-series --poly 2,2,2 --z inf",
+            "usage error: cutoff must be finite, got inf"),
+        "sieve-y-nan": ("sieve-check --y-grid nan",
+                        "usage error: support cutoff must be finite, got nan"),
+        "sieve-y-inf": ("sieve-check --y-grid inf",
+                        "usage error: support cutoff must be finite, got inf"),
+        "sieve-y-1e400": ("sieve-check --y-grid 1e400",
+                          "usage error: support cutoff must be finite, "
+                          "got inf"),
+        "sieve-w-nan": ("sieve-check --w-grid nan",
+                        "usage error: prime cutoff must be finite, got nan"),
         "bv-X-0": ("bv --X 0 --Q 1", "usage error: "),
         "bv-X-1": ("bv --X 1 --Q 1", "usage error: bv requires X >= 2"),
         "bv-missing-Q": ("bv --X 100", "usage error: bv requires --Q"),

@@ -9,8 +9,9 @@ import pytest
 from bhlab import budgets, identities
 from bhlab.arith import factorize
 from bhlab.budgets import BudgetError
-from bhlab.identities import (multiplicative_average, omega_moment,
-                              residue_root_count, squared_factor_sum)
+from bhlab.identities import (by_root_count, multiplicative_average,
+                              omega_moment, residue_root_count,
+                              squared_factor_sum)
 
 SQUAREFREE_30 = [k for k in range(1, 31)
                  if all(k % (p * p) for p in (2, 3, 5))]
@@ -23,6 +24,25 @@ def local_root_fraction(coeffs, ell):
 def squared_density(coeffs, ell):
     w = residue_root_count(coeffs, ell)
     return Fraction(2 * w, ell) - Fraction(w * w, ell * ell)
+
+
+# f(w, l) forms of the CLI's local factors and of squared_factor_sum's
+ROOT_COUNT_FACTORS = {
+    "w/l": lambda w, ell: Fraction(w, ell),
+    "1-w/l": lambda w, ell: 1 - Fraction(w, ell),
+    "(1-w/l)^2": lambda w, ell: (1 - Fraction(w, ell)) ** 2,
+    "2w/l-w^2/l^2": lambda w, ell: (Fraction(2 * w, ell)
+                                    - Fraction(w * w, ell * ell)),
+}
+
+
+def float_factor(w, ell):
+    return 0.1 * w + 1e-3 / ell
+
+
+def general(f):
+    """f(w, l) as a plain g(coeffs, l), which takes the general path."""
+    return lambda coeffs, ell: f(residue_root_count(coeffs, ell), ell)
 
 
 def tuple_by_tuple_sums(g, k, d):
@@ -171,7 +191,9 @@ class TestMultiplicativeAverage:
         def g_float(coeffs, ell):
             return 0.1 * residue_root_count(coeffs, ell) + 1e-3 / ell
 
-        for g in (squared_density, g_float):
+        for g in (squared_density, g_float,
+                  by_root_count(ROOT_COUNT_FACTORS["2w/l-w^2/l^2"]),
+                  by_root_count(float_factor)):
             got = multiplicative_average(g, k, 2)
             assert repr(tuple(got)) == repr(tuple_by_tuple_sums(g, k, 2))
 
@@ -203,6 +225,88 @@ class TestMultiplicativeAverage:
                 "residue average enumeration: requested size 10218313 "
                 "exceeds budget 10000000")):
             multiplicative_average(g, 217, 2)
+        assert calls == []
+
+
+class TestByRootCount:
+    """The root-count path against the general g(coeffs, l) path."""
+
+    @pytest.mark.parametrize("name", ROOT_COUNT_FACTORS)
+    def test_equals_general_path(self, name):
+        f = ROOT_COUNT_FACTORS[name]
+        cases = [(k, d) for k in SQUAREFREE_30 for d in (0, 1, 2)]
+        cases += [(k, 3) for k in SQUAREFREE_30 if k <= 6]
+        for k, d in cases:
+            got = multiplicative_average(by_root_count(f), k, d)
+            want = multiplicative_average(general(f), k, d)
+            assert got == want, (k, d)
+            assert tuple(map(type, got)) == tuple(map(type, want)), (k, d)
+
+    def test_squared_factor_sum_equals_general_path(self):
+        f = ROOT_COUNT_FACTORS["2w/l-w^2/l^2"]
+        cases = [(k, d) for k in SQUAREFREE_30 for d in (1, 2)]
+        cases += [(k, 3) for k in SQUAREFREE_30 if k <= 6]
+        for k, d in cases:
+            want = multiplicative_average(general(f), k, d).direct
+            assert squared_factor_sum(k, d).enumerated == want, (k, d)
+
+    def test_int_values_sum_to_int(self):
+        for k, d in ((30, 2), (7, 3)):
+            got = multiplicative_average(by_root_count(lambda w, ell: w), k, d)
+            assert got == multiplicative_average(residue_root_count, k, d)
+            assert tuple(map(type, got)) == (int, int)
+
+    def test_float_values_keep_enumeration_order(self):
+        for k, d in ((30, 2), (29, 1), (1, 2), (6, 3), (7, 0)):
+            got = multiplicative_average(by_root_count(float_factor), k, d)
+            want = multiplicative_average(general(float_factor), k, d)
+            assert repr(tuple(got)) == repr(tuple(want)), (k, d)
+            assert tuple(map(type, got)) == tuple(map(type, want)), (k, d)
+
+    def test_denominators_near_2_to_61_take_the_object_path(self):
+        def f(w, ell):
+            return Fraction(1 + w, 2**61 - 1 - w)
+
+        g = by_root_count(f)
+        values = [identities._local_table(g, ell, 1)[0] for ell in (2, 3, 5)]
+        assert identities._scaled_numerators(values, 30**2) is None
+        got = multiplicative_average(g, 30, 1)
+        assert got == multiplicative_average(general(f), 30, 1)
+        assert got == tuple_by_tuple_sums(g, 30, 1)
+        assert tuple(map(type, got)) == (Fraction, Fraction)
+
+    def test_f_called_once_per_root_count(self):
+        calls = []
+
+        def f(w, ell):
+            calls.append((ell, w))
+            return Fraction(w, ell)
+
+        for k, d in ((2, 0), (2, 3), (3, 2), (5, 2), (7, 3), (30, 2)):
+            calls.clear()
+            multiplicative_average(by_root_count(f), k, d)
+            for ell, _ in factorize(k):
+                got = [w for prime, w in calls if prime == ell]
+                want = list(range(min(d, ell) + 1)) + [ell] * (ell > d)
+                assert got == want, (k, d, ell)
+                assert len(got) <= d + 2
+
+    def test_budget_refusal_before_any_f_call_or_table(self, monkeypatch):
+        monkeypatch.delenv("BHLAB_BUDGET", raising=False)
+        calls = []
+        real_table = identities.root_count_table
+        monkeypatch.setattr(identities, "root_count_table",
+                            lambda ell, d: calls.append(ell)
+                            or real_table(ell, d))
+
+        def f(w, ell):
+            calls.append(w)
+            return 1
+
+        with pytest.raises(BudgetError, match=(
+                "residue average enumeration: requested size 10218313 "
+                "exceeds budget 10000000")):
+            multiplicative_average(by_root_count(f), 217, 2)
         assert calls == []
 
 
