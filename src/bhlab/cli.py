@@ -190,6 +190,14 @@ def cmd_psi(args):
     return 0
 
 
+def _power_cutoff(x, gamma):
+    """z = max(x, 2)**gamma, inf where that overflows a float."""
+    try:
+        return max(float(x), 2.0) ** gamma
+    except OverflowError:
+        return math.inf
+
+
 def _moment_rows(args):
     _require(args, "H", "x")
     if args.abs_from_one and not args.abs:
@@ -202,12 +210,14 @@ def _moment_rows(args):
     spec = FamilySpec(d=d, H=H, mode=mode, sample_count=args.samples,
                       seed=args.seed)
     points = [(x, z) for x in xs
-              for z in (zs if zs is not None else [max(float(x), 2.0) ** gamma])]
+              for z in (zs if zs is not None else [_power_cutoff(x, gamma)])]
     for x, z in points:  # refused before any grid point runs
         if x < 0:
             raise ValueError(f"x must be >= 0, got {x}")
         if not z > 1:
             raise ValueError(f"z must exceed 1, got {z}")
+        if not math.isfinite(z):
+            raise ValueError(f"z must be finite, got {z}")
     rows = []
     for x, z in points:
         rep = moments.second_moment(

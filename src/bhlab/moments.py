@@ -5,8 +5,10 @@ polynomial.  The family-level accumulators (second_moment, nondiagonal_term)
 run vectorized over fixed-size coefficient chunks with a deterministic merge
 order, optionally fanned out over threads.  Within a chunk the polynomials
 that share a head (c1, ..., cd) differ only in c0, so P(m) = Q(m) + c0 with
-Q evaluated once per head, and the values are formed in row tiles of a
-fixed size, so memory does not grow with x.
+Q evaluated once per head, and the values are formed in tiles of a fixed
+size, so memory does not grow with x.  In exhaustive mode a head's rows
+are its 2H + 1 consecutive values of c0: its values come from Q by
+broadcast, and its singular series from one factor per (head, c0 mod l).
 """
 
 import bisect
@@ -281,9 +283,16 @@ def _euler_factor_tables(d, z):
 # dense table takes 128 times the memory.  So the cut caps it at 32 MB.
 _DENSE_CUT = 1 << 22
 
-# Row tile of the exhaustive and Monte Carlo kernel, in value entries: the
-# int64 values and float64 Lambda terms of one tile take 8 MB each.
-_TILE = 1 << 20
+# Tile of the exhaustive and Monte Carlo kernel, in value entries.  The
+# int64 values and float64 Lambda terms of one tile take 256 KB each: they
+# stay in cache, and they are smaller than the per-chunk arrays (8 bytes
+# per row), so the allocator serves them from its heap instead of mapping
+# fresh pages per tile (at 2**17 entries and x = 300 a run took 290k minor
+# page faults, against 13k).  Median wall s of 3 runs on a 2-core machine,
+# tiles of 2**20, 2**17 and 2**15 entries: 2.10, 1.43 and 1.21 (moment --d
+# 2 --H 100 --x 30 --z 30), 0.78, 0.98 and 0.69 (--d 1 --H 500 --x 300
+# --z 20 --threads 2).
+_TILE = 1 << 15
 
 
 def _head_values(heads, m):
@@ -302,36 +311,43 @@ def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
 
     The rows sharing a head (c1, ..., cd) differ only in c0, so P(m) =
     Q(m) + c0 with Q evaluated once per head.  In exhaustive mode (base =
-    2H + 1) the heads come from the traversal order: row i of the chunk
-    has head (start + i) // base, and heads may straddle chunks.  Monte
-    Carlo chunks (base None) make every row its own head.  Values are
-    formed in row tiles of about _TILE entries (one row once x exceeds it),
-    so the working set does not grow with x.
+    2H + 1) a head's rows are its base values c0 = -H, ..., H in order, and
+    the chunk is the slice [offset, offset + n) of its heads' blocks, with
+    offset = start mod base; heads may straddle chunks.  Values are Q(m) +
+    c0 by broadcast.  The singular series is formed per (head, c0): for
+    each prime l the head's row of the factor table is gathered at c0 mod
+    l, so no per-row key is formed.  Monte Carlo chunks (base None) make
+    every row its own head.  Values are formed in tiles of at most _TILE
+    entries (one row once x exceeds it): whole heads while a head fits,
+    c0 slices of one head otherwise, so the working set does not grow with
+    x.  Every row's values, Lambda terms, m-sums and series product are
+    those of the row-wise kernel, factor for factor.
     """
     n = len(rows)
-    c0 = rows[:, :1]
-    if base is None:
-        heads, head_of_row = rows[:, 1:], None
-    else:
-        first = start // base
-        head_of_row = (start + np.arange(n, dtype=np.int64)) // base - first
-        lead = np.maximum((first + np.arange(head_of_row[-1] + 1)) * base
-                          - start, 0)
-        heads = rows[lead, 1:]
-
     m = np.arange(1, x + 1, dtype=np.int64)
+    step = max(_TILE // max(x, 1), 1)  # rows per tile
+    if base is None:
+        tiles = _row_tiles(rows, m, step)
+        series = np.ones(n, dtype=np.float64)
+        for ell, factors in factor_tables.items():
+            series *= factors[residue_key(rows.T, ell)]
+    else:
+        offset = start % base
+        nheads = -(-(offset + n) // base)
+        heads = rows[np.maximum(np.arange(nheads) * base - offset, 0), 1:]
+        c0s = np.arange(-(base // 2), base // 2 + 1, dtype=np.int64)
+        tiles = _head_tiles(heads, c0s, offset, n, m, step)
+        series = np.ones((nheads, base), dtype=np.float64)
+        for ell, factors in factor_tables.items():
+            per_head = factors.reshape(-1, ell)[residue_key(heads.T, ell)]
+            series *= per_head[:, c0s % ell]
+        series = series.ravel()[offset : offset + n]
+    if center != "bh":
+        series = np.zeros(n, dtype=np.float64)
+
     psi_vec = np.empty(n, dtype=np.float64)
     diag_vec = np.empty(n, dtype=np.float64)
-    step = max(_TILE // max(x, 1), 1)
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        if head_of_row is None:
-            vals = _head_values(heads[a:b], m)
-        else:
-            lo = head_of_row[a]
-            q = _head_values(heads[lo : head_of_row[b - 1] + 1], m)
-            vals = q[head_of_row[a:b] - lo]
-        vals += c0[a:b]
+    for a, vals in tiles:
         # Lambda-table entry 0 is 0, which drops P(m) <= 0 (psi) or P(m) = 0
         if psi_kind == "psi":
             np.maximum(vals, 0, out=vals)
@@ -340,19 +356,10 @@ def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
         lam = lam_table[vals]
         if psi_kind == "abs":
             lam[:, :1] = 0.0  # literal range starts at m = 2
+        b = a + len(lam)
         psi_vec[a:b] = lam.sum(axis=1)
         lam *= lam
         diag_vec[a:b] = lam.sum(axis=1)
-
-    if center == "bh":
-        series = np.ones(n, dtype=np.float64)
-        for ell, factors in factor_tables.items():
-            key = residue_key(heads.T, ell)
-            if head_of_row is not None:
-                key = key[head_of_row]
-            series *= factors[key * ell + c0[:, 0] % ell]
-    else:
-        series = np.zeros(n, dtype=np.float64)
 
     dev = psi_vec - x * series
     direct_vec = dev * dev
@@ -365,6 +372,34 @@ def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
         "direct_sq": float((direct_vec * direct_vec).sum()),
         "count": n,
     }
+
+
+def _row_tiles(rows, m, step):
+    """(first row, values) tiles of step rows, one head per row."""
+    for a in range(0, len(rows), step):
+        vals = _head_values(rows[a : a + step, 1:], m)
+        vals += rows[a : a + step, :1]
+        yield a, vals
+
+
+def _head_tiles(heads, c0s, offset, n, m, step):
+    """(first row, values) tiles of the chunk [offset, offset + n) of the
+    heads' blocks of len(c0s) rows: groups of whole heads of at most step
+    rows, or c0 slices of one head when a head has more than step rows.
+    Q is evaluated per group, never for every head of the chunk."""
+    base, x = len(c0s), len(m)
+    group = max(step // base, 1)
+    for h in range(0, len(heads), group):
+        q = _head_values(heads[h : h + group], m)
+        lo = max(h * base, offset)
+        hi = min((h + group) * base, offset + n)
+        if len(q) > 1:
+            block = (q[:, None, :] + c0s[:, None]).reshape(len(q) * base, x)
+            yield lo - offset, block[lo - h * base : hi - h * base]
+        else:
+            for a in range(lo, hi, step):
+                b = min(a + step, hi)
+                yield a - offset, q + c0s[a - h * base : b - h * base, None]
 
 
 def _ordered_map(fn, items, threads):
@@ -391,19 +426,21 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     Accumulates, per visited polynomial, the selected psi variant, the
     truncated singular series S_P(z), and the five decomposition pieces.
     Each chunk evaluates Q(m) = sum_{j>=1} c_j m**j once per head (c1, ...,
-    cd) and adds c0 per row, in row tiles of about 2**20 values, so each
-    worker's temporaries stay near 30 MB whatever x is.  The Lambda terms
-    come from a dense table up to _DENSE_CUT, from the compact layer past
-    it.  Chunks run on `threads` worker threads and merge in traversal
-    order, so the result does not depend on `threads`.  Monte Carlo mode
-    adds the standard error of the mean direct term from the sample
-    variance; for a mean this equals the delete-one jackknife standard
-    error.
+    cd) and adds c0 per row, in tiles of at most 2**15 values (one row once
+    x exceeds that), so each worker's temporaries stay at a few MB.  The
+    Lambda terms come from a dense table up to _DENSE_CUT, from the compact
+    layer past it.  Chunks run on `threads` worker threads and merge in
+    traversal order, so the result does not depend on `threads`.  Monte
+    Carlo mode adds the standard error of the mean direct term from the
+    sample variance; for a mean this equals the delete-one jackknife
+    standard error.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if not z > 1:  # nan included
         raise ValueError(f"z must exceed 1, got {z}")
+    if not math.isfinite(z):  # no root-count budget covers every prime
+        raise ValueError(f"z must be finite, got {z}")
     if abs_from_one and not use_abs:
         raise ValueError("abs_from_one requires use_abs")
     x = int(x)

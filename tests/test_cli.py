@@ -205,6 +205,18 @@ class TestUsageErrors:
         assert err.startswith("usage error: ")
         assert "Traceback" not in err
 
+    def test_grid_is_refused_before_any_point_runs(self, capsys,
+                                                   monkeypatch):
+        ran = []
+        monkeypatch.setattr(moments, "second_moment",
+                            lambda *args, **kwargs: ran.append(args))
+        code = main(["moment", "--H", "2", "--x", "3", "--z", "5,inf"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert ran == []
+        assert out == ""
+        assert err == "usage error: z must be finite, got inf\n"
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -293,6 +305,13 @@ class TestRefusals:
             "usage error: --from-one requires --abs"),
         "psi-theta-from-one": ("psi --poly 1,0,1 --x 3 --theta --from-one",
                                "usage error: --from-one requires --abs"),
+        # no root-count budget covers an infinite cutoff
+        "moment-z-inf": ("moment --H 2 --x 3 --z inf",
+                         "usage error: z must be finite, got inf"),
+        "moment-gamma-inf": ("moment --H 2 --x 3 --gamma inf",
+                             "usage error: z must be finite, got inf"),
+        "moment-gamma-overflow": ("moment --H 2 --x 100000 --gamma 400",
+                                  "usage error: z must be finite, got inf"),
         # refused before the Lambda-table limit
         "moment-abs-from-one-without-abs": (
             "moment --d 3 --H 1000 --x 1000 --z 2 --abs-from-one",

@@ -285,6 +285,8 @@ class TestSecondMoment:
             second_moment(FamilySpec(d=2, H=2), -1, 5)
         with pytest.raises(ValueError):
             second_moment(FamilySpec(d=2, H=2), 5, 1)
+        with pytest.raises(ValueError, match="z must be finite, got inf"):
+            second_moment(FamilySpec(d=2, H=2), 5, math.inf)
 
 
 class TestChunkMerge:
@@ -394,6 +396,22 @@ class TestHeadSharedKernel:
         spec = FamilySpec(d=d, H=8)  # base 17 does not divide the chunk size
         self._assert_chunks_equal_oracle(spec, 64, 17)
 
+    # (chunk size, tile) against heads of 17 rows: tiles of two whole heads
+    # with chunks starting mid-head, chunks shorter than a head, chunks of
+    # whole heads only, and tiles of exactly one head
+    @pytest.mark.parametrize("chunk_size,tile", [
+        (64, 40 * X), (10, None), (10, 40 * X), (34, None), (34, 5 * X),
+        (51, 17 * X),
+    ], ids=["two-heads-per-tile", "chunk-below-head",
+            "chunk-below-head-two-head-tile", "chunk-on-head-boundary",
+            "chunk-on-head-boundary-tiny-tile", "head-sized-tile"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_exhaustive_chunk_geometries(self, monkeypatch, d, chunk_size,
+                                         tile):
+        if tile is not None:
+            monkeypatch.setattr(moments, "_TILE", tile)
+        self._assert_chunks_equal_oracle(FamilySpec(d=d, H=8), chunk_size, 17)
+
     @pytest.mark.parametrize("tile", [None, 5 * X], ids=["tile", "tiny-tile"])
     def test_montecarlo_chunk_equals_rowwise_oracle(self, monkeypatch, tile):
         if tile is not None:
@@ -411,6 +429,32 @@ class TestHeadSharedKernel:
         finally:
             tracemalloc.stop()
         assert peak < 128 * 2**20
+
+    # Small H, long x.  The first family's heads of 21 rows * 2e5 values
+    # (34 MB) are cut into one-row tiles, and Q for all its 10 heads takes
+    # 16 MB; the second's tiles of 74 rows hold 3 whole heads, and Q for
+    # all its 210 heads takes 0.6 MiB.  The parent kernel peaked at 7.64
+    # and 0.76 MiB with the same tiles (27.5 MiB at its own 2**20-entry
+    # tile on the first family); the bounds add 2.36 and 0.24 MiB.
+    @pytest.mark.parametrize("d,H,x,tile,bound", [
+        (1, 10, 200_000, 1 << 17, 10 * 2**20),
+        (2, 10, 373, 74 * 373, 2**20),
+    ], ids=["head-beyond-tile", "heads-per-tile"])
+    def test_small_height_long_x_peak_is_tile_scale(self, monkeypatch, d, H,
+                                                   x, tile, bound):
+        monkeypatch.setattr(moments, "_TILE", tile)
+        spec = FamilySpec(d=d, H=H)
+        lam = von_mangoldt_table(value_bound(d, H, x))
+        factors = moments._euler_factor_tables(d, 10)
+        (start, rows), = coefficient_chunks(spec)
+        tracemalloc.start()
+        try:
+            moments._chunk_stats(start, rows, 2 * H + 1, x, lam, factors,
+                                 "psi", "bh")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestCompactLayer:
