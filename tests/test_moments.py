@@ -433,9 +433,10 @@ class TestHeadSharedKernel:
     # Small H, long x.  The first family's heads of 21 rows * 2e5 values
     # (34 MB) are cut into one-row tiles, and Q for all its 10 heads takes
     # 16 MB; the second's tiles of 74 rows hold 3 whole heads, and Q for
-    # all its 210 heads takes 0.6 MiB.  The parent kernel peaked at 7.64
-    # and 0.76 MiB with the same tiles (27.5 MiB at its own 2**20-entry
-    # tile on the first family); the bounds add 2.36 and 0.24 MiB.
+    # all its 210 heads takes 0.6 MiB.  The kernel with a per-row head
+    # index peaked at 7.64 and 0.76 MiB with the same tiles (27.5 MiB at
+    # its 2**20-entry tile on the first family); the bounds add 2.36 and
+    # 0.24 MiB to those peaks.
     @pytest.mark.parametrize("d,H,x,tile,bound", [
         (1, 10, 200_000, 1 << 17, 10 * 2**20),
         (2, 10, 373, 74 * 373, 2**20),
