@@ -212,12 +212,7 @@ def _moment_rows(args):
     points = [(x, z) for x in xs
               for z in (zs if zs is not None else [_power_cutoff(x, gamma)])]
     for x, z in points:  # refused before any grid point runs
-        if x < 0:
-            raise ValueError(f"x must be >= 0, got {x}")
-        if not z > 1:
-            raise ValueError(f"z must exceed 1, got {z}")
-        if not math.isfinite(z):
-            raise ValueError(f"z must be finite, got {z}")
+        moments.check_moment_point(x, z)
     rows = []
     for x, z in points:
         rep = moments.second_moment(

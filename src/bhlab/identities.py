@@ -74,11 +74,12 @@ def by_root_count(f):
 
 def _local_table(g, ell, d):
     """(values, index): the table of g over the ell**(d+1) residue tuples,
-    in itertools.product order, is values[index]; index None means values
-    is the whole table."""
+    in itertools.product order, is values[index].  A general g has one
+    value per tuple and the identity index."""
     if not isinstance(g, _ByRootCount):
         tuples = itertools.product(range(ell), repeat=d + 1)
-        return [g(coeffs, ell) for coeffs in tuples], None
+        return ([g(coeffs, ell) for coeffs in tuples],
+                np.arange(ell ** (d + 1)))
     # root counts run over 0..min(d, l), and l > d only at the zero
     # polynomial, which index d + 1 stands for; the transpose turns the
     # residue_key order (c0 least significant) into itertools.product order
@@ -92,8 +93,6 @@ def _local_table(g, ell, d):
 def _table_sum(values, index):
     """sum(values[index]), in enumeration order unless every value is an
     int or a Fraction, whose exact sum is taken from a histogram of index."""
-    if index is None:
-        return sum(values)
     if set(map(type, values)) <= {int, bool, Fraction}:
         return sum(int(n) * v for n, v in zip(np.bincount(index), values))
     return sum(np.fromiter(values, dtype=object, count=len(values))[index])
@@ -143,8 +142,7 @@ def _direct_sum(tables, primes, k, d):
                    for values, _ in tables]
     else:
         factors, denominator, rational = scaled
-    factors = [factor if index is None else factor[index]
-               for factor, (_, index) in zip(factors, tables)]
+    factors = [factor[index] for factor, (_, index) in zip(factors, tables)]
     m = 0
     while m < d and k ** (m + 1) <= _TILE:
         m += 1

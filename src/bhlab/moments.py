@@ -316,18 +316,19 @@ def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
     offset = start mod base; heads may straddle chunks.  Values are Q(m) +
     c0 by broadcast.  The singular series is formed per (head, c0): for
     each prime l the head's row of the factor table is gathered at c0 mod
-    l, so no per-row key is formed.  Monte Carlo chunks (base None) make
-    every row its own head.  Values are formed in tiles of at most _TILE
-    entries (one row once x exceeds it): whole heads while a head fits,
-    c0 slices of one head otherwise, so the working set does not grow with
-    x.  Every row's values, Lambda terms, m-sums and series product are
-    those of the row-wise kernel, factor for factor.
+    l, so no per-row key is formed.  Monte Carlo chunks (base None) go
+    through the same tiler as one-row heads, each with its own c0, and
+    their series is gathered per row.  Values are formed in tiles of at
+    most _TILE entries (one row once x exceeds it): whole heads while a
+    head fits, c0 slices of one head otherwise, so the working set does not
+    grow with x.  Every row's values, Lambda terms, m-sums and series
+    product are those of the row-wise kernel, factor for factor.
     """
     n = len(rows)
     m = np.arange(1, x + 1, dtype=np.int64)
     step = max(_TILE // max(x, 1), 1)  # rows per tile
     if base is None:
-        tiles = _row_tiles(rows, m, step)
+        tiles = _head_tiles(rows[:, 1:], rows[:, :1], 0, n, m, step)
         series = np.ones(n, dtype=np.float64)
         for ell, factors in factor_tables.items():
             series *= factors[residue_key(rows.T, ell)]
@@ -336,7 +337,8 @@ def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
         nheads = -(-(offset + n) // base)
         heads = rows[np.maximum(np.arange(nheads) * base - offset, 0), 1:]
         c0s = np.arange(-(base // 2), base // 2 + 1, dtype=np.int64)
-        tiles = _head_tiles(heads, c0s, offset, n, m, step)
+        tiles = _head_tiles(heads, np.broadcast_to(c0s, (nheads, base)),
+                            offset, n, m, step)
         series = np.ones((nheads, base), dtype=np.float64)
         for ell, factors in factor_tables.items():
             per_head = factors.reshape(-1, ell)[residue_key(heads.T, ell)]
@@ -374,32 +376,26 @@ def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
     }
 
 
-def _row_tiles(rows, m, step):
-    """(first row, values) tiles of step rows, one head per row."""
-    for a in range(0, len(rows), step):
-        vals = _head_values(rows[a : a + step, 1:], m)
-        vals += rows[a : a + step, :1]
-        yield a, vals
-
-
 def _head_tiles(heads, c0s, offset, n, m, step):
     """(first row, values) tiles of the chunk [offset, offset + n) of the
-    heads' blocks of len(c0s) rows: groups of whole heads of at most step
-    rows, or c0 slices of one head when a head has more than step rows.
-    Q is evaluated per group, never for every head of the chunk."""
-    base, x = len(c0s), len(m)
+    heads' blocks, head i's block being Q_i(m) + c0 for the base =
+    c0s.shape[1] values c0 of c0s[i]: groups of whole heads of at most step
+    rows, or c0 slices of at most step rows where a group is one head.  Q
+    is evaluated per group, never for every head of the chunk."""
+    base, x = c0s.shape[1], len(m)
     group = max(step // base, 1)
     for h in range(0, len(heads), group):
         q = _head_values(heads[h : h + group], m)
         lo = max(h * base, offset)
         hi = min((h + group) * base, offset + n)
         if len(q) > 1:
-            block = (q[:, None, :] + c0s[:, None]).reshape(len(q) * base, x)
+            block = (q[:, None, :] + c0s[h : h + len(q), :, None]).reshape(
+                len(q) * base, x)  # reshape(-1, x) fails at x = 0
             yield lo - offset, block[lo - h * base : hi - h * base]
         else:
             for a in range(lo, hi, step):
                 b = min(a + step, hi)
-                yield a - offset, q + c0s[a - h * base : b - h * base, None]
+                yield a - offset, q + c0s[h, a - h * base : b - h * base, None]
 
 
 def _ordered_map(fn, items, threads):
@@ -419,6 +415,17 @@ def _ordered_map(fn, items, threads):
             yield pending.popleft().result()
 
 
+def check_moment_point(x, z):
+    """Refuse an (x, z) point of the family moment with a ValueError: x
+    must be >= 0 and z a finite cutoff above 1."""
+    if x < 0:
+        raise ValueError(f"x must be >= 0, got {x}")
+    if not z > 1:  # nan included
+        raise ValueError(f"z must exceed 1, got {z}")
+    if not math.isfinite(z):  # no root-count budget covers every prime
+        raise ValueError(f"z must be finite, got {z}")
+
+
 def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
                   threads=1):
     """Family second moment of psi_P(x) - x * S_P(z), fully decomposed.
@@ -435,12 +442,7 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     sample variance; for a mean this equals the delete-one jackknife
     standard error.
     """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if not z > 1:  # nan included
-        raise ValueError(f"z must exceed 1, got {z}")
-    if not math.isfinite(z):  # no root-count budget covers every prime
-        raise ValueError(f"z must be finite, got {z}")
+    check_moment_point(x, z)
     if abs_from_one and not use_abs:
         raise ValueError("abs_from_one requires use_abs")
     x = int(x)

@@ -95,33 +95,24 @@ def _times_t(a, t_n, ell):
     return (shifted + a[:, -1:] * t_n % ell) % ell
 
 
-@lru_cache(maxsize=None)
-def _sum_matrices(n):
-    """0/1 matrices for _square: `products` sums the n*n products a_i a_j
-    into the 2n coefficients of a * a (columns :2n) and of a * a * t
-    (columns 2n:); `fold` sums n rows of n residues."""
-    products = np.zeros((n * n, 4 * n), dtype=np.int64)
-    rows = np.arange(n * n)
-    i, j = np.divmod(rows, n)
-    products[rows, i + j] = 1
-    products[rows, 2 * n + i + j + 1] = 1
-    fold = np.zeros((n * n, n), dtype=np.int64)
-    fold[rows, j] = 1
-    return products, fold
-
-
 def _square(a, times_t, powers, ell):
     """a * a, times t in the lanes where times_t is set, mod (f, ell);
-    powers[:, i] = t**(n+i) mod f.  Every product of two residues is
-    reduced before at most n of them are summed."""
+    powers[:, i] = t**(n+i) mod f.
+
+    A plain convolution: row i adds a_i a, shifted by i + 1, into full,
+    so full[:, 1:] holds a * a and full[:, :2n] holds a * a * t.  The high
+    half is folded back as n multiply-adds of powers[:, i].  Every product
+    of two residues is reduced before at most n of them are summed.
+    """
     k, n = a.shape
-    cell = ell[:, :, None]
-    products, fold = _sum_matrices(n)
-    both = (a[:, :, None] * a[:, None, :] % cell).reshape(k, n * n) @ products
-    both %= ell
-    full = np.where(times_t, both[:, 2 * n :], both[:, : 2 * n])
-    high = (full[:, n:, None] * powers % cell).reshape(k, n * n) @ fold
-    return (full[:, :n] + high % ell) % ell
+    full = np.zeros((k, 2 * n + 1), dtype=a.dtype)
+    for i in range(n):
+        full[:, i + 1 : i + 1 + n] += a[:, i : i + 1] * a % ell
+    full = np.where(times_t, full[:, : 2 * n], full[:, 1:]) % ell
+    low = full[:, :n]
+    for i in range(n):
+        low += full[:, n + i : n + i + 1] * powers[:, i] % ell
+    return low % ell
 
 
 def _rank(rows, ell):
@@ -313,9 +304,9 @@ def roots_count_mod_squarefree(P, k):
 class FamilySpec:
     """Traversal description for the degree-d height-H family.
 
-    mode is "exhaustive" or "montecarlo"; Monte Carlo needs sample_count and
-    a 64-bit seed.  Exhaustive traversal is refused above the enumeration
-    budget.
+    mode is "exhaustive" or "montecarlo"; Monte Carlo needs sample_count
+    and a seed in [0, 2**128), the Philox key.  Exhaustive traversal is
+    refused above the enumeration budget.
     """
 
     d: int
@@ -333,6 +324,8 @@ class FamilySpec:
             raise ValueError(f"unknown traversal mode {self.mode!r}")
         if self.mode == "montecarlo" and self.sample_count < 1:
             raise ValueError("montecarlo mode needs sample_count >= 1")
+        if self.mode == "montecarlo" and not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must be in [0, 2^128), got {self.seed}")
 
     @property
     def family_size(self):

@@ -312,6 +312,16 @@ class TestRefusals:
                              "usage error: z must be finite, got inf"),
         "moment-gamma-overflow": ("moment --H 2 --x 100000 --gamma 400",
                                   "usage error: z must be finite, got inf"),
+        # Monte Carlo seeds are Philox keys; refused before the Lambda table
+        # (or its limit) is met
+        "moment-mc-seed-negative": (
+            "moment --H 2 --x 3 --mode mc --samples 10 --seed -1",
+            "usage error: seed must be in [0, 2^128), got -1"),
+        "moment-mc-seed-2^128": (
+            "moment --d 3 --H 10000 --x 37 --z 10 --mode mc --samples 10 "
+            "--seed 340282366920938463463374607431768211456",
+            "usage error: seed must be in [0, 2^128), got "
+            "340282366920938463463374607431768211456"),
         # refused before the Lambda-table limit
         "moment-abs-from-one-without-abs": (
             "moment --d 3 --H 1000 --x 1000 --z 2 --abs-from-one",

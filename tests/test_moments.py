@@ -412,7 +412,10 @@ class TestHeadSharedKernel:
             monkeypatch.setattr(moments, "_TILE", tile)
         self._assert_chunks_equal_oracle(FamilySpec(d=d, H=8), chunk_size, 17)
 
-    @pytest.mark.parametrize("tile", [None, 5 * X], ids=["tile", "tiny-tile"])
+    # a tile below x holds one row, so every one-row head takes the
+    # single-head slice path
+    @pytest.mark.parametrize("tile", [None, 5 * X, X - 1],
+                             ids=["tile", "tiny-tile", "below-x"])
     def test_montecarlo_chunk_equals_rowwise_oracle(self, monkeypatch, tile):
         if tile is not None:
             monkeypatch.setattr(moments, "_TILE", tile)

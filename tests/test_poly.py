@@ -209,6 +209,26 @@ class TestDistinctDegreePass:
                           zip([0] + coeffs, coeffs + [0])]
             assert poly._root_counts(coeffs, [ell])[0] == len(set(roots))
 
+    # degree 8-12 at the largest int64-lane prime and the smallest
+    # object-lane prime: each column of _square's convolution sums up to d
+    # reduced products
+    @pytest.mark.parametrize("ell", [3_037_000_493, 3_037_000_507])
+    @pytest.mark.parametrize("d", range(8, 13))
+    def test_split_polynomials_with_repeated_roots(self, rng, ell, d):
+        draw = random.Random(int(rng.integers(2**32)))
+        pool = [0, 1, ell - 1, ell - 2, 2**31 + 11] + [
+            draw.randrange(ell) for _ in range(d)]
+        for distinct in (1, 2, d // 2, d - 1):
+            roots = draw.sample(pool, distinct)
+            roots += [draw.choice(roots) for _ in range(d - distinct)]
+            lead = draw.choice([1, 7, ell - 1, ell + 3])
+            coeffs = [lead]
+            for a in roots:  # multiply by (t - a)
+                coeffs = [(x - a * y) for x, y in
+                          zip([0] + coeffs, coeffs + [0])]
+            assert len(coeffs) == d + 1
+            assert poly._root_counts(coeffs, [ell])[0] == len(set(roots))
+
     def test_int64_and_object_lanes_in_one_pass(self, rng):
         primes = [2, 3, 3_037_000_493, 3_037_000_507, 2**61 - 1]
         for coeffs in edge_polynomials(rng)[::7]:
@@ -375,6 +395,20 @@ class TestTraversal:
             FamilySpec(d=1, H=1, mode="montecarlo")
         with pytest.raises(ValueError):
             FamilySpec(d=1, H=1, mode="sideways")
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_montecarlo_seed_outside_the_philox_key_range(self, seed):
+        with pytest.raises(ValueError) as exc:
+            FamilySpec(d=1, H=1, mode="montecarlo", sample_count=1, seed=seed)
+        assert str(exc.value) == f"seed must be in [0, 2^128), got {seed}"
+        FamilySpec(d=1, H=1, seed=seed)  # exhaustive traversal has no seed
+
+    def test_montecarlo_seed_range_ends(self):
+        for seed in (0, 2**128 - 1):
+            spec = FamilySpec(d=1, H=1, mode="montecarlo", sample_count=3,
+                              seed=seed)
+            (_, rows), = coefficient_chunks(spec)
+            assert rows.shape == (3, 2)
 
 
 class TestRootCountTableModulus:
