@@ -23,7 +23,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # and callers must stay below this.
 VON_MANGOLDT_LIMIT = 2**63
 
-# Primes per math.log batch in von_mangoldt_table and CompactLambda.
+# Primes per math.log batch in the CompactLambda build.
 _LOG_CHUNK = 1 << 12
 
 # Odd numbers per segment of the prime sieve (a multiple of 8, so segments
@@ -284,31 +284,26 @@ def _math_logs(ints):
 def von_mangoldt_table(limit):
     """numpy array L with L[n] = Lambda(n) for 0 <= n <= limit.
 
-    Sieve-based: one entry per prime power, each math.log(p) (np.log
-    differs from it in the last bit on some primes).  The prime entries are
-    filled in chunks of _LOG_CHUNK, so no list of all the primes is held;
-    only primes up to isqrt(limit) have higher powers.  Cross-checked
-    against the root-and-primality scalar path in the test suite.
+    CompactLambda(limit) unpacked: np.log on its bitset's odd primes, then
+    its patch array on top, so the two are equal bit for bit by
+    construction.  The prime sieve's fixed limit is checked first.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    primes = sieve_primes(limit)  # refuses an oversize limit first
+    check_table("prime sieve", limit)
+    layer = CompactLambda(limit)
+    odd = 2 * np.flatnonzero(np.unpackbits(layer.bits, bitorder="little")
+                             [: (limit + 1) // 2]) + 1
     table = np.zeros(limit + 1, dtype=np.float64)
-    for i in range(0, len(primes), _LOG_CHUNK):
-        chunk = primes[i : i + _LOG_CHUNK]
-        table[chunk] = _math_logs(chunk)
-    small = primes[: np.searchsorted(primes, math.isqrt(limit), "right")]
-    for p in small.tolist():
-        q = p * p
-        while q <= limit:
-            table[q] = table[p]
-            q *= p
+    table[odd] = np.log(odd)
+    table[layer.values[:-1]] = layer.logs[:-1]
     return table
 
 
 class CompactLambda:
     """Lambda(n) for 0 <= n <= limit in about limit/16 bytes, read by
-    L[values] like the dense von_mangoldt_table(limit), bit for bit.
+    L[values]: math.log(p) at each power of p, bit for bit.  The one Lambda
+    fill; the dense von_mangoldt_table(limit) is this layer unpacked.
 
     An odd-only prime bitset (bit (n - 1) / 2 for odd n) gives np.log(n) on
     the odd primes.  A sorted patch array holds what that misses: every

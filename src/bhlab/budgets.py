@@ -8,7 +8,7 @@ A fixed size limit, which it does not lift, is refused with LimitError.
 
 import os
 
-DEFAULT_FAMILY_BUDGET = 10**8       # exhaustive |Poly_d(H)| traversals
+DEFAULT_FAMILY_BUDGET = 10**8       # |Poly_d(H)| or Monte Carlo samples
 DEFAULT_RESIDUE_BUDGET = 10**7      # residue-polynomial enumerations (k^(d+1))
 DEFAULT_PROGRESSION_BUDGET = 10**6  # sieve limit X for progression error sums
 DEFAULT_ROOT_COUNT_BUDGET = 10**8   # about pi(z) d^2 log2(z): w_P(l), l < z

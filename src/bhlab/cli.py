@@ -58,13 +58,22 @@ class _Parser(argparse.ArgumentParser):
         """Make config strings the defaults of `command`'s value flags.
 
         argparse runs a string default through the flag's type, and a flag
-        given on the command line still wins.  Switches (store_true flags)
-        and keys `command` does not take are ignored.
+        given on the command line still wins.  It does not check a default
+        against the flag's choices, so a value outside them is refused
+        here.  Switches (store_true flags) and keys `command` does not take
+        are ignored.
         """
         (commands,) = [a.choices for a in self._actions if a.dest == "command"]
         sub = commands[command]
-        sub.set_defaults(**{a.dest: config[a.dest] for a in sub._actions
-                            if a.nargs is None and a.dest in config})
+        values = {a.dest: config[a.dest] for a in sub._actions
+                  if a.nargs is None and a.dest in config}
+        for a in sub._actions:
+            if a.choices is not None and a.dest in values \
+                    and values[a.dest] not in a.choices:
+                self.error(f"config {a.dest}: invalid choice: "
+                           f"{values[a.dest]!r} (choose from "
+                           f"{', '.join(map(repr, a.choices))})")
+        sub.set_defaults(**values)
 
 
 def _read_config(path):

@@ -90,24 +90,15 @@ def _local_table(g, ell, d):
     return values, np.minimum(counts, d + 1)
 
 
-def _table_sum(values, index):
-    """sum(values[index]), in enumeration order unless every value is an
-    int or a Fraction, whose exact sum is taken from a histogram of index."""
-    if set(map(type, values)) <= {int, bool, Fraction}:
-        return sum(int(n) * v for n, v in zip(np.bincount(index), values))
-    return sum(np.fromiter(values, dtype=object, count=len(values))[index])
-
-
 def _residue_family_sums(g, k, d, label):
     """Both sides of the sum over P0 in (Z/kZ)[t], deg <= d, of
     prod_{l | k} g(P0 mod l, l).
 
     g is tabulated once per prime l | k over the l**(d+1) residue tuples
-    (from the root-count table when g comes from by_root_count).  The
-    direct side enumerates every tuple mod k, in tiles of at most _TILE
-    tuples held as int64 digit columns, and reduces each column mod each l
-    into the table index (no Chinese remainder shortcut); the product side
-    multiplies the per-prime table sums.
+    (from the root-count table when g comes from by_root_count).  Both
+    sides are _direct_sum enumerations: the direct side over every tuple
+    mod k (no Chinese remainder shortcut), the product side over the tuples
+    mod each l, in itertools.product order, multiplied.
     """
     if k < 1:
         raise ValueError(f"modulus must be positive, got {k}")
@@ -117,8 +108,8 @@ def _residue_family_sums(g, k, d, label):
     primes = [ell for ell, _ in factorize(k)]
     tables = [_local_table(g, ell, d) for ell in primes]
     product = 1
-    for values, index in tables:
-        product *= _table_sum(values, index)
+    for table, ell in zip(tables, primes):
+        product *= _direct_sum([table], [ell], ell, d)
     return _direct_sum(tables, primes, k, d), product
 
 

@@ -443,6 +443,8 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     standard error.
     """
     check_moment_point(x, z)
+    if center not in ("bh", "none"):
+        raise ValueError(f"center must be 'bh' or 'none', got {center!r}")
     if abs_from_one and not use_abs:
         raise ValueError("abs_from_one requires use_abs")
     x = int(x)

@@ -305,8 +305,9 @@ class FamilySpec:
     """Traversal description for the degree-d height-H family.
 
     mode is "exhaustive" or "montecarlo"; Monte Carlo needs sample_count
-    and a seed in [0, 2**128), the Philox key.  Exhaustive traversal is
-    refused above the enumeration budget.
+    and a seed in [0, 2**128), the Philox key.  A traversal whose visit
+    count (the family size, or the sample count) exceeds the family budget
+    is refused.
     """
 
     d: int
@@ -344,9 +345,9 @@ class FamilySpec:
         return self.sample_count
 
     def check_budget(self):
-        if self.mode == "exhaustive":
-            budgets.check("exhaustive family traversal", self.family_size,
-                          budgets.family_budget())
+        name = ("exhaustive family traversal" if self.mode == "exhaustive"
+                else "Monte Carlo sample traversal")
+        budgets.check(name, self.visit_count, budgets.family_budget())
 
 
 def _decode_exhaustive(spec, start, stop):

@@ -51,7 +51,7 @@ def root_by_every_exponent_lambda(n):
 def per_prime_log_table(limit):
     """Reference: math.log(p) at every prime power p**a <= limit."""
     table = np.zeros(limit + 1, dtype=np.float64)
-    for p in sieve_primes(limit):
+    for p in sieve_primes(limit).tolist():
         q = p
         while q <= limit:
             table[q] = math.log(p)
@@ -63,6 +63,14 @@ def trial_division_is_prime(n):
     if n < 2:
         return False
     return all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+# limits 0-9, 2**k +- 1, 3**k, a prime power +- 1 (7**8), two sieve
+# segments +- 1, and 10**7
+COMPACT_LIMITS = ([0, 1, 2, 3, 4, 8, 9]
+                  + [2**k + e for k in (4, 10, 16, 20) for e in (-1, 1)]
+                  + [3**7, 3**13, 7**8 - 1, 7**8 + 1, 2**23 - 1, 2**23 + 1,
+                     10**7])
 
 
 class TestSieve:
@@ -136,8 +144,10 @@ class TestVonMangoldt:
         for n in rng.integers(5000, 10**6, size=2000):
             assert lam_table_1e6[int(n)] == von_mangoldt(int(n))
 
-    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 10**4, 10**6,
-                                       3 * 10**6 + 1])
+    # the compact layer's edge limits too: the dense table unpacks it, so
+    # this reference is what checks the two
+    @pytest.mark.parametrize("limit", sorted(
+        {0, 1, 2, 3, 4, 10**4, 10**6, 3 * 10**6 + 1, *COMPACT_LIMITS}))
     def test_table_bits_equal_per_prime_logs(self, limit):
         got = von_mangoldt_table(limit)
         want = per_prime_log_table(limit)
@@ -166,14 +176,6 @@ class TestVonMangoldt:
     def test_chebyshev_psi_small(self, lam_table_1e6):
         assert chebyshev_psi(10, table=lam_table_1e6) == pytest.approx(
             sum(von_mangoldt(n) for n in range(1, 11)))
-
-
-# limits 0-9, 2**k +- 1, 3**k, a prime power +- 1 (7**8), two sieve
-# segments +- 1, and 10**7
-COMPACT_LIMITS = ([0, 1, 2, 3, 4, 8, 9]
-                  + [2**k + e for k in (4, 10, 16, 20) for e in (-1, 1)]
-                  + [3**7, 3**13, 7**8 - 1, 7**8 + 1, 2**23 - 1, 2**23 + 1,
-                     10**7])
 
 
 class TestCompactLambda:

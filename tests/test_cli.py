@@ -243,6 +243,16 @@ class TestRefusals:
             "usage error: argument --H: invalid int value: 'abc'"),
         "config-missing": ("--config {tmp}/no.cfg moment --H 1 --x 3",
                            "usage error: [Errno 2]"),
+        # argparse checks a flag's choices on the command line only
+        "config-center": ("--config {tmp}/center.cfg moment --H 1 --x 3",
+                          "usage error: config center: invalid choice: "
+                          "'bogus' (choose from 'bh', 'none')"),
+        "config-format": ("--config {tmp}/format.cfg moment --H 1 --x 3",
+                          "usage error: config format: invalid choice: "
+                          "'xml' (choose from 'csv', 'json')"),
+        "config-mode": ("--config {tmp}/mode.cfg moment --H 1 --x 3",
+                        "usage error: config mode: invalid choice: 'random' "
+                        "(choose from 'exhaustive', 'mc', 'montecarlo')"),
         "out-unwritable": ("moment --H 1 --x 1 --out {tmp}/no/out.csv",
                            "usage error: [Errno 2]"),
         "poly-leading-zero": ("psi --poly 1,0 --x 3",
@@ -290,6 +300,11 @@ class TestRefusals:
             "bv --X 10000000 --Q 3",
             "budget refusal: progression average sieve: requested size "
             "10000000 exceeds budget 1000000 (override with BHLAB_BUDGET)"),
+        "mc-sample-budget": (
+            "moment --H 10 --x 3 --mode mc --samples 1000000000000",
+            "budget refusal: Monte Carlo sample traversal: requested size "
+            "1000000000000 exceeds budget 100000000 (override with "
+            "BHLAB_BUDGET)"),
         "psi-abs-theta": ("psi --poly 1,0,1 --x 3 --abs --theta",
                           "usage error: argument --theta: not allowed with "
                           "argument --abs"),
@@ -331,7 +346,10 @@ class TestRefusals:
     @pytest.mark.parametrize("case", CASES)
     def test_one_line(self, case, capsys, monkeypatch, tmp_path):
         argv, want = self.CASES[case]
-        (tmp_path / "bad.cfg").write_text("H = abc\n")
+        for name, line in (("bad", "H = abc"), ("center", "center = bogus"),
+                           ("format", "format = xml"),
+                           ("mode", "mode = random")):
+            (tmp_path / f"{name}.cfg").write_text(line + "\n")
         if case == "budget-env-not-int":
             monkeypatch.setenv("BHLAB_BUDGET", "abc")
         else:
@@ -345,7 +363,8 @@ class TestRefusals:
         assert "Traceback" not in err
         # the hint is given only where BHLAB_BUDGET lifts the limit
         assert ("BHLAB_BUDGET" in err) == (case in ("budget-env-not-int",
-                                                    "progression-budget"))
+                                                    "progression-budget",
+                                                    "mc-sample-budget"))
 
 
 def _grid(values):

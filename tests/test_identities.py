@@ -181,6 +181,28 @@ class TestMultiplicativeAverage:
                                                               repeat=3)]
         assert math.fsum(terms) != multiplicative_average(g, 15, 2).direct
 
+    @pytest.mark.parametrize("g", [
+        squared_density,
+        by_root_count(ROOT_COUNT_FACTORS["(1-w/l)^2"]),
+        general(float_factor),
+        by_root_count(float_factor),
+    ], ids=["fraction", "fraction-by-count", "float", "float-by-count"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_product_side_is_the_naive_per_prime_product(self, g, d):
+        # each single-prime sum runs over the tuples mod l in
+        # itertools.product order, from 0
+        k = 30
+        want = 1
+        for ell in (2, 3, 5):
+            local = 0
+            for coeffs in itertools.product(range(ell), repeat=d + 1):
+                local += g(coeffs, ell)
+            want *= local
+        got = multiplicative_average(g, k, d).product
+        assert type(got) is type(want)
+        assert got == want
+        assert repr(got) == repr(want)
+
     @pytest.mark.parametrize("tile,k", [(1, 6), (5, 30), (7, 30), (64, 30),
                                         (900, 30), (1000, 30)])
     def test_tile_edges(self, tile, k, monkeypatch):

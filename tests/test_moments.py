@@ -235,6 +235,11 @@ class TestSecondMoment:
         for key in rep.FIELDS:
             assert rep.raw[key] == pytest.approx(sums[key], rel=1e-9), key
 
+    def test_unknown_center_is_refused(self):
+        with pytest.raises(ValueError, match="center must be 'bh' or "
+                                             "'none', got 'bogus'"):
+            second_moment(FamilySpec(d=2, H=2), 3, 3, center="bogus")
+
     def test_decomposition_identity(self):
         rep = second_moment(FamilySpec(d=2, H=10), 5, 5)
         assert rep.decomposition_residual() <= 1e-9

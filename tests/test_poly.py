@@ -358,6 +358,21 @@ class TestTraversal:
         with pytest.raises(BudgetError):
             list(coefficient_chunks(spec))
 
+    def test_montecarlo_sample_budget(self, monkeypatch):
+        monkeypatch.delenv("BHLAB_BUDGET", raising=False)
+        spec = FamilySpec(d=2, H=9, mode="montecarlo",
+                          sample_count=budgets.DEFAULT_FAMILY_BUDGET + 1)
+        with pytest.raises(BudgetError, match=(
+                r"^Monte Carlo sample traversal: requested size 100000001 "
+                r"exceeds budget 100000000 \(override with BHLAB_BUDGET\)$")):
+            next(coefficient_chunks(spec))
+        small = FamilySpec(d=2, H=9, mode="montecarlo", sample_count=5000)
+        monkeypatch.setenv("BHLAB_BUDGET", "4999")
+        with pytest.raises(BudgetError, match="Monte Carlo sample traversal"):
+            next(coefficient_chunks(small))
+        monkeypatch.setenv("BHLAB_BUDGET", "5000")
+        assert sum(len(r) for _, r in coefficient_chunks(small)) == 5000
+
     def test_montecarlo_determinism(self):
         spec = FamilySpec(d=2, H=10**6, mode="montecarlo",
                           sample_count=10**4, seed=42)
