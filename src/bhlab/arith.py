@@ -37,8 +37,9 @@ _ODD_BIT = np.array([(1 << (r >> 1)) * (r & 1) for r in range(16)],
 _FILTER_BITS = 16
 _FILTER_MASK = (1 << _FILTER_BITS) - 1
 
-# factorize trial-divides by the primes below _TRIAL_CAP; Pollard-Brent rho
-# takes one gcd per _RHO_BATCH steps.
+# factorize and von_mangoldt trial-divide by the primes below _TRIAL_CAP: an
+# n < 2**63 left with no prime factor below 2**10 is at most a sixth power.
+# Pollard-Brent rho takes one gcd per _RHO_BATCH steps.
 _TRIAL_CAP = 1 << 10
 _RHO_BATCH = 128
 
@@ -70,45 +71,17 @@ def is_prime_u64(n):
     return True
 
 
-# Prime exponents a < 64: an n < 2**63 that is a perfect power is a perfect
-# a-th power for one of them.
-_PRIME_EXPONENTS = tuple(a for a in range(2, 64) if is_prime_u64(a))
-
-
-def integer_root(n, a):
-    """Largest r with r**a <= n.
-
-    A float estimate of n**(1/a), corrected by exact integer comparisons.
-    Below 2**50 the estimate is within a few units of the root; past that
-    (or past the float range) integer Newton steps descend to it from the
-    upper bound 2**ceil(bits/a).
-    """
-    if n < 0 or a < 1:
-        raise ValueError("integer_root requires n >= 0 and a >= 1")
-    if a == 1 or n < 2:
-        return n
-    try:
-        r = int(math.exp(math.log(n) / a))
-    except OverflowError:  # the root is past the float range
-        r = math.inf
-    if r < 1 << 50:
-        while r**a > n:
-            r -= 1
-        while (r + 1) ** a <= n:
-            r += 1
-        return r
-    r = 1 << -(-n.bit_length() // a)
-    while (s := ((a - 1) * r + n // r ** (a - 1)) // a) < r:
-        r = s
-    return r
-
-
 def von_mangoldt(n):
     """Lambda(n): log(l) if n = l**a for a prime l, else 0.
 
-    No factoring: n is tested for primality, then for an exact a-th root r
-    for each prime exponent a below its bit length.  n = r**a is a power
-    of l exactly when r is, so Lambda(n) = Lambda(r).
+    A prime n gives log(n).  Otherwise trial division by the primes below
+    _TRIAL_CAP, the ones factorize uses: at the first that divides n, n is
+    a power of it or Lambda(n) = 0.  Past them every prime factor of n is
+    at least _TRIAL_CAP = 2**10, so n < 2**63 is at most a sixth power:
+    only a = 2, 3 and 5 are tried, by the rounded float root, which below
+    2**63 is within 2**-20 of an exact root and so rounds to it.  n = r**a
+    is a power of l exactly when r is, so Lambda(n) = Lambda(r), and that
+    recursion covers a = 4 and 6.
     """
     if n < 1:
         raise ValueError(f"von_mangoldt requires n >= 1, got {n}")
@@ -118,11 +91,13 @@ def von_mangoldt(n):
         return 0.0
     if is_prime_u64(n):
         return math.log(n)
-    bits = n.bit_length()
-    for a in _PRIME_EXPONENTS:
-        if a >= bits:
-            break
-        r = integer_root(n, a)
+    for p in primes_below(_TRIAL_CAP):
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return math.log(p) if n == 1 else 0.0
+    for a in (2, 3, 5):
+        r = round(n ** (1 / a))
         if r**a == n:
             return von_mangoldt(r)
     return 0.0

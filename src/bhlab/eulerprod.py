@@ -30,22 +30,23 @@ def truncated_bh_constant(P, z):
     """Truncated singular series of P at cutoff z.
 
     Product over primes l < z of (1 - 1/l)^(-1) * (1 - w_P(l)/l), where
-    w_P(l) counts roots of P mod l.  Zero, before any root count, when a
-    prime l < z divides gcd(P(0), ..., P(d)): exactly then w_P(l) = l, as
-    the roots 0..d cover every residue mod l <= d and force P = 0 mod l > d.
+    w_P(l) counts roots of P mod l.  Zero when a prime l < z divides
+    g = gcd(P(0), ..., P(d)): exactly then w_P(l) = l, as the roots 0..d
+    cover every residue mod l <= d and force P = 0 mod l > d.  For g below
+    2^63 that zero comes before any root count.
     """
     if z <= 1:
         raise ValueError(f"cutoff must exceed 1, got {z}")
     if not math.isfinite(z):
         raise ValueError(f"cutoff must be finite, got {z}")
     g = math.gcd(*(eval_poly(P, m) for m in range(P.degree + 1)))
-    # the smallest prime factor of g, by factorize (no sieve) below 2^63
-    if g >= VON_MANGOLDT_LIMIT:
-        smallest = next((ell for ell in primes_below(z) if g % ell == 0), z)
-    else:  # 2 divides g = 0, and g = 1 has none
+    # the smallest prime factor of g, by factorize (no sieve): 2 for g = 0,
+    # none for g = 1.  A g past factorize's range takes the root counts,
+    # whose limit and budget refuse first, and w_P(l) = l gives the zero.
+    if g < VON_MANGOLDT_LIMIT:
         smallest = 2 if g == 0 else factorize(g)[0][0] if g > 1 else z
-    if smallest < z:
-        return 0.0
+        if smallest < z:
+            return 0.0
     counts = local_root_counts(P, z)  # refused before primes_below(z) sieves
     return euler_product(np.longdouble(ell - w) / np.longdouble(ell - 1)
                          for ell, w in zip(primes_below(z), counts))

@@ -451,6 +451,7 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     bound = value_bound(spec.d, spec.H, x)
     budgets.check_table("von Mangoldt table for the family moment", bound,
                         budgets.MAX_FAMILY_TABLE)
+    spec.check_budget()  # before any table is built
     factor_tables = _euler_factor_tables(spec.d, z) if center == "bh" else {}
     lam_table = (von_mangoldt_table(max(bound, 1)) if bound <= _DENSE_CUT
                  else CompactLambda(bound))

@@ -3,13 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from bhlab.budgets import MAX_FAMILY_TABLE, MAX_TABLE, LimitError
 from bhlab.arith import (CompactLambda, chebyshev_psi, euler_phi, factorize,
-                         integer_root, is_prime_u64, mobius, omega_distinct,
-                         phi_table, primes_below, primorial, sieve_primes,
-                         von_mangoldt, von_mangoldt_table)
+                         is_prime_u64, mobius, omega_distinct, phi_table,
+                         primes_below, primorial, sieve_primes, von_mangoldt,
+                         von_mangoldt_table)
 
 
 def trial_division_lambda(n):
@@ -165,8 +164,24 @@ class TestVonMangoldt:
         ns += [6**a for a in range(2, 25)] + [2**62, (2**31 - 1) ** 2, 3**39]
         ns += [2**63 - j for j in range(1, 200)]
         ns += [int(v) for v in rng.integers(1, 2**63, size=10**4)]
+        # past the trial primes: r**a and its neighbours for a = 2, 3, 5, at
+        # r near 2**10 and near the largest r with r**a < 2**63
+        for a, top in ((2, 3037000499), (3, 2097151), (5, 6208)):
+            assert top**a < 2**63 <= (top + 1) ** a
+            for r in [*range(1000, 1100), *range(top - 100, top + 1)]:
+                ns += [r**a - 1, r**a, r**a + 1]
+        # semiprimes of primes >= 2**10, their squares and cubes, and p*p*q
+        big = [p for p in primes_below(1100) if p > 1024]
+        big += [1048573, 1048583, 2147483647, 2147483659]
+        for p in big:
+            for q in big:
+                if p < q:
+                    ns += [p * q, (p * q) ** 2, (p * q) ** 3]
+                if p != q:
+                    ns.append(p * p * q)
         for n in ns:
-            assert von_mangoldt(n) == root_by_every_exponent_lambda(n), n
+            if n < 2**63:
+                assert von_mangoldt(n) == root_by_every_exponent_lambda(n), n
 
     def test_chebyshev_trend(self):
         # PNT: psi(x)/x near 1 (within 5%) at x = 10^7
@@ -226,23 +241,6 @@ class TestCompactLambda:
             "compact von Mangoldt table: requested size 2000000001 exceeds "
             "the fixed limit 2000000000")
         assert peak < 1 << 20
-
-
-class TestIntegerRoot:
-    @given(st.integers(min_value=0, max_value=10**30),
-           st.integers(min_value=1, max_value=60))
-    def test_bracketing(self, n, a):
-        r = integer_root(n, a)
-        assert r**a <= n
-        assert (r + 1) ** a > n
-
-
-    @pytest.mark.parametrize("a", range(1, 64))
-    def test_exact_next_to_perfect_powers(self, a):
-        for r in (2, 3, 10, 2**20 + 7, 3**20, 10**12 + 39, 10**20 + 1):
-            assert integer_root(r**a, a) == r
-            assert integer_root(r**a - 1, a) == r - 1
-            assert integer_root(r**a + 1, a) == (r + 1 if a == 1 else r)
 
 
 class TestMillerRabin:

@@ -191,10 +191,14 @@ class TestZeroRule:
         assert truncated_bh_constant(IntPolynomial((6, 4, 2)), 1e13) == 0.0
         with pytest.raises(BudgetError, match="local root counts"):
             truncated_bh_constant(IntPolynomial((big, 0, big)), 1e8)
+        # a prime content past 2^63 is refused by the root-count budget
+        huge = 9223372036854775837
+        with pytest.raises(BudgetError, match="local root counts"):
+            truncated_bh_constant(IntPolynomial((huge, huge, huge)), 1e8)
         assert sieved == []
 
     def test_content_past_factorize_range(self):
-        # g >= 2^63 is checked against the primes below z
+        # g >= 2^63 takes the root counts, where w_P(l) = l for l | g
         q = (2**61 - 1) ** 2
         c = 3 * 2**64
         assert truncated_bh_constant(IntPolynomial((c, 0, c)), 3) == 0.0

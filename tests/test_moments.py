@@ -240,6 +240,19 @@ class TestSecondMoment:
                                              "'none', got 'bogus'"):
             second_moment(FamilySpec(d=2, H=2), 3, 3, center="bogus")
 
+    @pytest.mark.parametrize("mode,samples", [("exhaustive", 0),
+                                              ("montecarlo", 10**12)])
+    def test_traversal_refused_before_any_table(self, monkeypatch, mode,
+                                                samples):
+        def build(*args):
+            raise AssertionError("a table was built before the refusal")
+        monkeypatch.setattr(moments, "_euler_factor_tables", build)
+        monkeypatch.setattr(moments, "CompactLambda", build)
+        spec = FamilySpec(d=3, H=10000, mode=mode, sample_count=samples,
+                          seed=1)
+        with pytest.raises(BudgetError, match="traversal"):
+            second_moment(spec, 20, 20)
+
     def test_decomposition_identity(self):
         rep = second_moment(FamilySpec(d=2, H=10), 5, 5)
         assert rep.decomposition_residual() <= 1e-9
