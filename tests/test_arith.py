@@ -193,6 +193,21 @@ class TestVonMangoldt:
             sum(von_mangoldt(n) for n in range(1, 11)))
 
 
+class TestIntegerRoot:
+    """Lambda's exact-root step next to perfect powers of every exponent:
+    r**a is detected as a power and r**a +- 1 is not."""
+
+    @pytest.mark.parametrize("a", range(1, 64))
+    def test_exact_next_to_perfect_powers(self, a):
+        ns = []
+        for r in (2, 3, 10, 1031, 2**20 + 7, 3**20, 10**12 + 39, 10**20 + 1,
+                  3037000493):
+            ns += [n for n in (r**a - 1, r**a, r**a + 1) if 1 <= n < 2**63]
+        assert ns
+        for n in ns:
+            assert von_mangoldt(n) == root_by_every_exponent_lambda(n), n
+
+
 class TestCompactLambda:
     @pytest.mark.parametrize("limit", COMPACT_LIMITS)
     def test_whole_range_bits_equal_the_dense_table(self, limit):
