@@ -39,9 +39,7 @@ _FILTER_MASK = (1 << _FILTER_BITS) - 1
 
 # factorize and von_mangoldt trial-divide by the primes below _TRIAL_CAP: an
 # n < 2**63 left with no prime factor below 2**10 is at most a sixth power.
-# Pollard-Brent rho takes one gcd per _RHO_BATCH steps.
 _TRIAL_CAP = 1 << 10
-_RHO_BATCH = 128
 
 
 def is_prime_u64(n):
@@ -151,28 +149,16 @@ def primes_below(z):
 
 def _rho_factor(n):
     """A nontrivial factor of the composite n, which has no prime factor
-    below _TRIAL_CAP: Pollard's rho on x -> x^2 + c mod n with Brent's
-    cycle search and one gcd per _RHO_BATCH steps."""
+    below _TRIAL_CAP: Pollard's rho on x -> x^2 + c mod n under Floyd's
+    cycle finding, for c = 1, 2, ... until the gcd found is not n."""
     for c in itertools.count(1):
-        y, r, q, g = 2, 1, 1, 1
+        x = y = 2
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(_RHO_BATCH, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += _RHO_BATCH
-            r *= 2
-        if g == n:  # the batch passed the collision: redo it step by step
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
         if g != n:
             return g
 
@@ -182,7 +168,7 @@ def factorize(n):
 
     Trial division by the primes below _TRIAL_CAP; a cofactor left below
     _TRIAL_CAP**2 is prime, and a larger one that is not prime is split by
-    Pollard-Brent rho.
+    Pollard rho.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -355,10 +341,18 @@ def phi_table(limit):
     return table
 
 
+def check_lambda_table(table, limit):
+    """Refuse a Lambda table shorter than limit + 1: sums would skip terms."""
+    if len(table) <= limit:
+        raise ValueError(f"Lambda table must hold {limit + 1} entries "
+                         f"(0..{limit}), got {len(table)}")
+
+
 def chebyshev_psi(x, table=None):
     """Sum of Lambda(n) for n <= x."""
     if x < 1:
         return 0.0
     if table is None:
         table = von_mangoldt_table(int(x))
+    check_lambda_table(table, int(x))
     return float(math.fsum(table[1 : int(x) + 1].tolist()))

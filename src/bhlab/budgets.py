@@ -1,8 +1,8 @@
 """Enumeration budgets and the refusal exceptions.
 
 Every brute-force enumeration in the library is guarded by a budget so a
-typo'd parameter fails fast instead of running for hours.  The environment
-variable BHLAB_BUDGET (a positive integer) overrides all defaults at once.
+typo'd parameter fails fast instead of running for hours.  check() applies
+BHLAB_BUDGET (a positive integer), which overrides every DEFAULT_* at once.
 A fixed size limit, which it does not lift, is refused with LimitError.
 """
 
@@ -42,10 +42,12 @@ class LimitError(BudgetError):
     _limit = "the fixed limit {}"
 
 
-def _env_override():
+def budget(default):
+    """The budget in force for an enumeration whose default is `default`:
+    BHLAB_BUDGET, a positive integer, when it is set."""
     raw = os.environ.get("BHLAB_BUDGET")
     if raw is None:
-        return None
+        return default
     try:
         value = int(raw)
     except ValueError as exc:
@@ -55,27 +57,12 @@ def _env_override():
     return value
 
 
-def family_budget():
-    return _env_override() or DEFAULT_FAMILY_BUDGET
-
-
-def residue_budget():
-    return _env_override() or DEFAULT_RESIDUE_BUDGET
-
-
-def progression_budget():
-    return _env_override() or DEFAULT_PROGRESSION_BUDGET
-
-
-def root_count_budget():
-    return _env_override() or DEFAULT_ROOT_COUNT_BUDGET
-
-
-def check(name, requested, budget):
-    """Raise BudgetError when requested exceeds budget, one of the budgets
-    above that BHLAB_BUDGET overrides."""
-    if requested > budget:
-        raise BudgetError(name, requested, budget)
+def check(name, requested, default):
+    """Raise BudgetError when requested exceeds budget(default), one of the
+    DEFAULT_* budgets above unless BHLAB_BUDGET overrides it."""
+    limit = budget(default)
+    if requested > limit:
+        raise BudgetError(name, requested, limit)
 
 
 def check_table(name, size, limit=MAX_TABLE):

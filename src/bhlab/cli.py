@@ -20,6 +20,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -222,6 +223,12 @@ def _moment_rows(args):
               for z in (zs if zs is not None else [_power_cutoff(x, gamma)])]
     for x, z in points:  # refused before any grid point runs
         moments.check_moment_point(x, z)
+    if args.out:  # refused before any point runs; a file made here goes
+        created = not os.path.lexists(args.out)
+        if created or os.path.isfile(args.out):  # a FIFO would block
+            open(args.out, "a").close()
+        if created:
+            os.remove(args.out)
     rows = []
     for x, z in points:
         rep = moments.second_moment(

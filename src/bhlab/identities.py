@@ -104,7 +104,7 @@ def _residue_family_sums(g, k, d, label):
         raise ValueError(f"modulus must be positive, got {k}")
     if not is_squarefree(k):
         raise ValueError(f"modulus must be squarefree, got {k}")
-    budgets.check(label, k ** (d + 1), budgets.residue_budget())
+    budgets.check(label, k ** (d + 1), budgets.DEFAULT_RESIDUE_BUDGET)
     primes = [ell for ell, _ in factorize(k)]
     tables = [_local_table(g, ell, d) for ell in primes]
     product = 1

@@ -13,6 +13,7 @@ broadcast, and its singular series from one factor per (head, c0 mod l).
 
 import bisect
 import math
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,8 +22,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import budgets
-from .arith import (VON_MANGOLDT_LIMIT, CompactLambda, euler_phi, is_prime_u64,
-                    primes_below, von_mangoldt, von_mangoldt_table)
+from .arith import (VON_MANGOLDT_LIMIT, CompactLambda, check_lambda_table,
+                    euler_phi, is_prime_u64, primes_below, von_mangoldt,
+                    von_mangoldt_table)
 from .poly import (IntPolynomial, coefficient_chunks, eval_poly, residue_key,
                    root_count_table, value_bound)
 
@@ -118,8 +120,10 @@ def ap_error(X, q, b, table=None):
         raise ValueError(f"q must be >= 1, got {q}")
     X = int(X)
     if table is None:
-        budgets.check("progression error sieve", X, budgets.progression_budget())
+        budgets.check("progression error sieve", X,
+                      budgets.DEFAULT_PROGRESSION_BUDGET)
         table = von_mangoldt_table(X)
+    check_lambda_table(table, X)
     start = b % q
     if start == 0:
         start = q
@@ -139,12 +143,14 @@ def bv_average(X, Q, table=None):
     if X < 1 or Q < 1:
         raise ValueError("X and Q must be >= 1")
     X, Q = int(X), int(Q)
-    budgets.check("progression average sieve", X, budgets.progression_budget())
+    budgets.check("progression average sieve", X,
+                  budgets.DEFAULT_PROGRESSION_BUDGET)
     if Q > math.isqrt(X) + 1:  # the range of the statement, not a budget
         raise ValueError(f"Q must be <= isqrt(X) + 1 = {math.isqrt(X) + 1}, "
                          f"got {Q}")
     if table is None:
         table = von_mangoldt_table(X)
+    check_lambda_table(table, X)
     out = []
     for q in range(1, Q + 1):
         phi_q = euler_phi(q)
@@ -186,6 +192,7 @@ def diagonal_term(N, H, table=None):
     if table is None:
         budgets.check_table("diagonal term sieve", top)
         table = von_mangoldt_table(top)
+    check_lambda_table(table, top)
     ns = np.abs(np.arange(N - H, N + H + 1, dtype=np.int64))
     vals = table[ns]  # index 0 (the excluded c0 = -N) holds Lambda-table 0
     value = float(np.dot(vals, vals))
@@ -261,8 +268,7 @@ def _euler_factor_tables(d, z):
     isqrt(budget) alone exceeds it, so primes are sieved only up to that
     cap, and one prime in [cap, z), if there is one, settles the refusal.
     """
-    budget = budgets.residue_budget()
-    cap = math.isqrt(budget) + 1
+    cap = math.isqrt(budgets.budget(budgets.DEFAULT_RESIDUE_BUDGET)) + 1
     primes = primes_below(min(z, cap))
     requested = sum(ell ** (d + 1) for ell in primes)
     ell = cap
@@ -271,7 +277,7 @@ def _euler_factor_tables(d, z):
     if ell < z:
         requested += ell ** (d + 1)
     budgets.check("root-count tables for the singular series", requested,
-                  budget)
+                  budgets.DEFAULT_RESIDUE_BUDGET)
     return {ell: (ell - root_count_table(ell, d)) / (ell - 1.0)
             for ell in primes}
 
@@ -399,12 +405,15 @@ def _head_tiles(heads, c0s, offset, n, m, step):
 
 
 def _ordered_map(fn, items, threads):
-    """Yield fn(item) in input order, computed on `threads` worker threads.
+    """Yield fn(item) in input order, computed on `threads` worker threads,
+    but no more than the CPUs this process may use.
 
-    Unlike Executor.map, which submits every item at once, at most `threads`
-    calls are pending, so at most threads + 1 items are alive at a time.
+    Unlike Executor.map, which submits every item at once, at most one call
+    per worker is pending, so at most workers + 1 items are alive at a time.
     """
-    threads = max(threads, 1)  # threads < 1 runs on one worker
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    threads = max(min(threads, cpus), 1)  # threads < 1 runs on one worker
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
         for item in items:
@@ -436,10 +445,10 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     cd) and adds c0 per row, in tiles of at most 2**15 values (one row once
     x exceeds that), so each worker's temporaries stay at a few MB.  The
     Lambda terms come from a dense table up to _DENSE_CUT, from the compact
-    layer past it.  Chunks run on `threads` worker threads and merge in
-    traversal order, so the result does not depend on `threads`.  Monte
-    Carlo mode adds the standard error of the mean direct term from the
-    sample variance; for a mean this equals the delete-one jackknife
+    layer past it.  Chunks run on `threads` threads (one per CPU at most) and
+    merge in traversal order, so the result does not depend on `threads`.
+    Monte Carlo mode adds the standard error of the mean direct term from
+    the sample variance; for a mean this equals the delete-one jackknife
     standard error.
     """
     check_moment_point(x, z)

@@ -240,7 +240,7 @@ def local_root_counts(P, z):
     """
     budgets.check_table("prime sieve", math.ceil(z))
     budgets.check("local root counts", _root_count_cost(P.degree, z),
-                  budgets.root_count_budget())
+                  budgets.DEFAULT_ROOT_COUNT_BUDGET)
     return tuple(_root_counts(P.coeffs, primes_below(z)).tolist())
 
 
@@ -279,7 +279,8 @@ def root_count_table(ell, d):
     if not is_prime_u64(ell):
         raise ValueError(f"modulus must be prime, got {ell}")
     size = ell ** (d + 1)
-    budgets.check("residue root-count table", size, budgets.residue_budget())
+    budgets.check("residue root-count table", size,
+                  budgets.DEFAULT_RESIDUE_BUDGET)
     digits = digit_columns(np.arange(size, dtype=np.int64), ell, d + 1)
     counts = sum(_horner_mod(digits, r, ell) == 0 for r in range(ell))
     counts.flags.writeable = False
@@ -347,7 +348,7 @@ class FamilySpec:
     def check_budget(self):
         name = ("exhaustive family traversal" if self.mode == "exhaustive"
                 else "Monte Carlo sample traversal")
-        budgets.check(name, self.visit_count, budgets.family_budget())
+        budgets.check(name, self.visit_count, budgets.DEFAULT_FAMILY_BUDGET)
 
 
 def _decode_exhaustive(spec, start, stop):

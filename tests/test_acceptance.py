@@ -4,6 +4,7 @@ Each criterion prints one PASS/FAIL line on the real stdout so the result
 survives pytest capture.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -222,3 +223,24 @@ def test_criterion_12_montecarlo_calibration(exhaustive_reference):
     report(12, f"Monte Carlo within 3 stderr of exhaustive "
                f"(gap {gap / mc.mc_stderr:.2f} stderr)",
            gap <= 3 * mc.mc_stderr)
+
+
+def test_criterion_13_moment_grows_linearly_in_log_H():
+    # Monte Carlo mean direct term at x = z = 10 over H = 10^3, 10^4, ...:
+    # each decade adds the same amount, within 3 combined stderr.  A trend,
+    # not the theorem's constant, which the paper's abstract does not give.
+    ok = True
+    slopes = []
+    for d, top in ((1, 6), (2, 5)):
+        reps = [second_moment(FamilySpec(d=d, H=10**e, mode="montecarlo",
+                                         sample_count=10**5, seed=1), 10, 10)
+                for e in range(3, top + 1)]
+        steps = [(b.mean("direct") - a.mean("direct"),
+                  math.hypot(a.mc_stderr, b.mc_stderr))
+                 for a, b in zip(reps, reps[1:])]
+        ok &= all(step > 0 for step, _ in steps)
+        ok &= all(abs(s - t) <= 3 * math.hypot(e, f)
+                  for (s, e), (t, f) in itertools.combinations(steps, 2))
+        slopes.append(f"d={d} " + "/".join(f"{s:.1f}" for s, _ in steps))
+    report(13, "direct term linear in log H, per-decade steps "
+               + ", ".join(slopes), ok)

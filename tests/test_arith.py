@@ -72,6 +72,31 @@ COMPACT_LIMITS = ([0, 1, 2, 3, 4, 8, 9]
                      10**7])
 
 
+def _rho_cases():
+    """(n, factorization) for the cofactors rho splits: p*q, p**2, p**3 and
+    p**2*q for the first two primes p < q of each bit length 11..31, and p*r
+    and p**2*r for r = 2**31 - 1, a prime, wherever n < 2**63."""
+    r = 2**31 - 1
+    cases = []
+    for bits in range(11, 32):
+        p = 1 << (bits - 1)
+        while not is_prime_u64(p):
+            p += 1
+        q = p + 1
+        while not is_prime_u64(q):
+            q += 1
+        for n, factors in ((p * q, [(p, 1), (q, 1)]), (p * p, [(p, 2)]),
+                           (p**3, [(p, 3)]), (p * p * q, [(p, 2), (q, 1)]),
+                           (p * r, [(p, 1), (r, 1)]),
+                           (p * p * r, [(p, 2), (r, 1)])):
+            if n < 2**63:
+                cases.append((n, factors))
+    return cases
+
+
+_RHO_CASES = _rho_cases()
+
+
 class TestSieve:
     def test_small(self):
         assert list(sieve_primes(10)) == [2, 3, 5, 7]
@@ -191,6 +216,14 @@ class TestVonMangoldt:
     def test_chebyshev_psi_small(self, lam_table_1e6):
         assert chebyshev_psi(10, table=lam_table_1e6) == pytest.approx(
             sum(von_mangoldt(n) for n in range(1, 11)))
+
+    def test_chebyshev_psi_refuses_a_short_table(self):
+        table = von_mangoldt_table(100)
+        assert chebyshev_psi(100, table=table) == chebyshev_psi(100)
+        with pytest.raises(ValueError, match=(
+                r"^Lambda table must hold 1001 entries \(0\.\.1000\), "
+                r"got 101$")):
+            chebyshev_psi(1000, table=table)
 
 
 class TestIntegerRoot:
@@ -315,6 +348,7 @@ class TestMultiplicativeFunctions:
     @pytest.mark.parametrize("n,factors", [
         (1031**2, [(1031, 2)]),  # the first prime past the initial 2^10
         (1_000_003 * 1_000_033, [(1_000_003, 1), (1_000_033, 1)]),
+        *_RHO_CASES,
     ])
     def test_factorize_grows_its_trial_divisors(self, n, factors):
         assert factorize(n) == factors

@@ -137,9 +137,38 @@ class TestMoment:
                      "--z", "3e7"])
         assert code == 3
         assert sieved
-        assert max(sieved) <= math.isqrt(budgets.residue_budget()) + 1
+        assert max(sieved) <= math.isqrt(
+            budgets.budget(budgets.DEFAULT_RESIDUE_BUDGET)) + 1
         err = capsys.readouterr().err
         assert err.startswith("budget refusal: root-count tables")
+
+    def test_unwritable_out_refused_before_any_point(self, capsys,
+                                                     monkeypatch, tmp_path):
+        def ran(*args, **kwargs):
+            raise AssertionError("second_moment ran")
+
+        monkeypatch.setattr(moments, "second_moment", ran)
+        argv, want = TestRefusals.CASES["out-unwritable"]
+        code = exit_code(argv.format(tmp=tmp_path).split())
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(want)
+
+    @pytest.mark.parametrize("argv", [
+        "moment --H 10 --x 3 --mode mc --samples 1000000000000",
+        "moment --d 2 --H 50 --x 1000",  # the root-count tables
+    ])
+    def test_refused_run_leaves_no_out_file(self, argv, capsys,
+                                            monkeypatch, tmp_path):
+        monkeypatch.delenv("BHLAB_BUDGET", raising=False)
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept.write_text("earlier result\n")
+        for path in (fresh, kept):
+            assert exit_code([*argv.split(), "--out", str(path)]) == 3
+        assert capsys.readouterr().out == ""
+        assert sorted(tmp_path.iterdir()) == [kept]
+        assert kept.read_text() == "earlier result\n"
 
     def test_config_file_under_flags(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -110,3 +110,47 @@ def test_fixed_table_limit_assigned_only_in_budgets():
                  if "MAX_TABLE" in (getattr(name, "id", None)
                                     or getattr(name, "attr", None) or "")}
     assert assigners == {"budgets"}
+
+
+def _called_name(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def test_environment_read_only_in_budgets():
+    # BHLAB_BUDGET is applied by budgets.check alone
+    env = ("environ", "getenv")
+    readers = {module for module, tree in TREES.items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr in env
+               or isinstance(node, ast.alias) and node.name in env}
+    assert readers == {"budgets"}
+
+
+def test_refusal_exceptions_constructed_only_in_budgets():
+    makers = {module for module, tree in TREES.items()
+              for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and _called_name(node) in ("BudgetError", "LimitError")}
+    assert makers == {"budgets"}
+
+
+def _calls_a_budget_getter(call):
+    """A call of a bare name or of a bhlab module's attribute ending in
+    _budget; methods such as FamilySpec.check_budget do not count."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id.endswith("_budget")
+    return (isinstance(func, ast.Attribute) and func.attr.endswith("_budget")
+            and isinstance(func.value, ast.Name) and func.value.id in TREES)
+
+
+def test_no_budget_getters():
+    # callers pass budgets.check a DEFAULT_* budget; no getter repeats the
+    # BHLAB_BUDGET rule in front of it
+    defined = [f"{module}.{node.name}" for module, tree in TREES.items()
+               for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name.endswith("_budget")]
+    called = [f"{module}:{node.lineno}" for module, tree in TREES.items()
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and _calls_a_budget_getter(node)]
+    assert defined == []
+    assert called == []

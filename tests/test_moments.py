@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 import time
 import tracemalloc
@@ -168,6 +169,24 @@ class TestBvAverage:
             bv_average(100, 50)
 
 
+class TestShortLambdaTable:
+    """A caller's Lambda table that stops short of a sum's range is refused
+    before any sum, not read as if the missing entries were 0."""
+
+    @pytest.mark.parametrize("call,need", [
+        (lambda t: ap_error(1000, 3, 1, table=t), 1000),
+        (lambda t: bv_average(1000, 10, table=t), 1000),
+        (lambda t: diagonal_term(0, 500, table=t), 500),
+        (lambda t: diagonal_term(-300, 200, table=t), 500),
+    ], ids=["ap_error", "bv_average", "diagonal_term", "diagonal_term-N"])
+    def test_refused(self, call, need):
+        with pytest.raises(ValueError, match=(
+                rf"^Lambda table must hold {need + 1} entries "
+                rf"\(0\.\.{need}\), got 101$")):
+            call(von_mangoldt_table(100))
+        assert call(von_mangoldt_table(need)) == call(None)
+
+
 class TestDiagonalTerm:
     def test_examples(self):
         got = diagonal_term(0, 3)
@@ -319,8 +338,11 @@ class TestChunkMerge:
         assert reps[0].raw == reps[1].raw == reps[2].raw
         assert reps[0].mc_stderr == reps[1].mc_stderr == reps[2].mc_stderr
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_chunks_in_flight_are_bounded(self, monkeypatch, threads):
+    @staticmethod
+    def _peak_in_flight(monkeypatch, threads):
+        """The most chunks made and not yet reduced at once in a run of
+        second_moment on `threads` threads with slow workers, whose result
+        is checked against the one-thread run."""
         real_chunks = moments.coefficient_chunks
         real_stats = moments._chunk_stats
         lock = threading.Lock()
@@ -346,8 +368,20 @@ class TestChunkMerge:
         spec = FamilySpec(d=2, H=8)
         rep = second_moment(spec, 5, 5, threads=threads)
         assert seen["made"] == seen["done"] == math.ceil(spec.family_size / 64)
-        assert seen["peak"] <= threads + 1
         assert rep.raw == second_moment(spec, 5, 5).raw
+        return seen["peak"]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_chunks_in_flight_are_bounded(self, monkeypatch, threads):
+        assert self._peak_in_flight(monkeypatch, threads) <= threads + 1
+
+    def test_threads_past_the_cpu_count_hold_no_more_chunks(self,
+                                                            monkeypatch):
+        # two CPUs: at most two workers, so at most three chunks alive
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert self._peak_in_flight(monkeypatch, 8) <= 3
 
 
 def _rowwise_chunk_stats(rows, x, lam_table, omega_tables, psi_kind, center):

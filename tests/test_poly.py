@@ -137,7 +137,7 @@ class TestRootsCount:
         first = root_count_table(3, 2)
         assert root_count_table(3, 2) is first
         assert calls == [("residue root-count table", 27,
-                          budgets.residue_budget())]
+                          budgets.DEFAULT_RESIDUE_BUDGET)]
 
     def test_bounded_by_degree(self, rng):
         for _ in range(200):
