@@ -222,7 +222,7 @@ def _moment_rows(args):
     points = [(x, z) for x in xs
               for z in (zs if zs is not None else [_power_cutoff(x, gamma)])]
     for x, z in points:  # refused before any grid point runs
-        moments.check_moment_point(x, z)
+        moments.check_moment_point(spec, x, z, args.center)
     if args.out:  # refused before any point runs; a file made here goes
         created = not os.path.lexists(args.out)
         if created or os.path.isfile(args.out):  # a FIFO would block

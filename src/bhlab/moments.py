@@ -143,12 +143,12 @@ def bv_average(X, Q, table=None):
     if X < 1 or Q < 1:
         raise ValueError("X and Q must be >= 1")
     X, Q = int(X), int(Q)
-    budgets.check("progression average sieve", X,
-                  budgets.DEFAULT_PROGRESSION_BUDGET)
     if Q > math.isqrt(X) + 1:  # the range of the statement, not a budget
         raise ValueError(f"Q must be <= isqrt(X) + 1 = {math.isqrt(X) + 1}, "
                          f"got {Q}")
     if table is None:
+        budgets.check("progression average sieve", X,
+                      budgets.DEFAULT_PROGRESSION_BUDGET)
         table = von_mangoldt_table(X)
     check_lambda_table(table, X)
     out = []
@@ -259,9 +259,8 @@ class MomentReport:
         return out
 
 
-def _euler_factor_tables(d, z):
-    """Per-prime singular-series factor tables (l - w) / (l - 1.0) for all
-    primes l below z, indexed like root_count_table.
+def _series_primes(d, z):
+    """The primes below z, whose root-count tables the singular series reads.
 
     Refused before any table is built, and before sieving past the budget,
     when sum_{l<z} l**(d+1) exceeds the residue budget: a prime above
@@ -278,6 +277,15 @@ def _euler_factor_tables(d, z):
         requested += ell ** (d + 1)
     budgets.check("root-count tables for the singular series", requested,
                   budgets.DEFAULT_RESIDUE_BUDGET)
+    return primes
+
+
+def _euler_factor_tables(d, z, primes=None):
+    """Per-prime singular-series factor tables (l - w) / (l - 1.0) for all
+    primes l below z, indexed like root_count_table: _series_primes(d, z),
+    which refuses them over the residue budget, unless already given."""
+    if primes is None:
+        primes = _series_primes(d, z)
     return {ell: (ell - root_count_table(ell, d)) / (ell - 1.0)
             for ell in primes}
 
@@ -424,15 +432,26 @@ def _ordered_map(fn, items, threads):
             yield pending.popleft().result()
 
 
-def check_moment_point(x, z):
-    """Refuse an (x, z) point of the family moment with a ValueError: x
-    must be >= 0 and z a finite cutoff above 1."""
+def check_moment_point(spec, x, z, center):
+    """Refuse a point of the family moment before any table is built: x
+    must be >= 0, z a finite cutoff above 1 and center 'bh' or 'none'
+    (ValueError); the value bound must be within the family's Lambda limit
+    (LimitError), the traversal and, with center 'bh', the root-count tables
+    within their budgets (BudgetError).  Returns the singular series'
+    primes below z, none with center 'none', so they are sieved once."""
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if not z > 1:  # nan included
         raise ValueError(f"z must exceed 1, got {z}")
     if not math.isfinite(z):  # no root-count budget covers every prime
         raise ValueError(f"z must be finite, got {z}")
+    if center not in ("bh", "none"):
+        raise ValueError(f"center must be 'bh' or 'none', got {center!r}")
+    budgets.check_table("von Mangoldt table for the family moment",
+                        value_bound(spec.d, spec.H, int(x)),
+                        budgets.MAX_FAMILY_TABLE)
+    spec.check_budget()
+    return _series_primes(spec.d, z) if center == "bh" else []
 
 
 def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
@@ -451,17 +470,12 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     the sample variance; for a mean this equals the delete-one jackknife
     standard error.
     """
-    check_moment_point(x, z)
-    if center not in ("bh", "none"):
-        raise ValueError(f"center must be 'bh' or 'none', got {center!r}")
     if abs_from_one and not use_abs:
         raise ValueError("abs_from_one requires use_abs")
+    primes = check_moment_point(spec, x, z, center)
     x = int(x)
     bound = value_bound(spec.d, spec.H, x)
-    budgets.check_table("von Mangoldt table for the family moment", bound,
-                        budgets.MAX_FAMILY_TABLE)
-    spec.check_budget()  # before any table is built
-    factor_tables = _euler_factor_tables(spec.d, z) if center == "bh" else {}
+    factor_tables = _euler_factor_tables(spec.d, z, primes)
     lam_table = (von_mangoldt_table(max(bound, 1)) if bound <= _DENSE_CUT
                  else CompactLambda(bound))
     psi_kind = "abs_from_one" if abs_from_one else "abs" if use_abs else "psi"

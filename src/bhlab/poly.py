@@ -72,15 +72,6 @@ def value_bound(d, H, x):
     return (d + 1) * H * max(1, x) ** d
 
 
-def _horner_mod(coeffs, r, ell):
-    """sum_j coeffs[j] * r**j mod ell by Horner's rule; coeffs and r are
-    residues mod ell (scalars or broadcasting int64 arrays)."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * r + c) % ell
-    return acc
-
-
 # Primes up to this bound run on int64 lanes: a product of two residues,
 # at most (l - 1)**2, stays below 2**63.  Lanes of larger primes run the
 # same pass on object arrays.
@@ -271,18 +262,24 @@ def digit_columns(idx, base, n):
 def root_count_table(ell, d):
     """Flat table T of length ell**(d+1) with T[key] = root count mod ell.
 
-    key = residue_key((c0, ..., cd), ell).  The identically-zero polynomial
-    gets count ell (every residue is a root), which the enumeration
-    produces naturally.  ell must be prime, and the table is refused above
-    the residue budget before it is allocated.  Cached, so read-only.
+    key = residue_key((c0, ..., cd), ell).  For each head (c1, ..., cd) and
+    residue r, exactly one c0 = -(c1 r + ... + cd r**d) mod ell makes r a
+    root, so each r adds 1 at one distinct key per head.  ell must be
+    prime, and the table is refused above the residue budget before it is
+    allocated.  Cached, so read-only.
     """
     if not is_prime_u64(ell):
         raise ValueError(f"modulus must be prime, got {ell}")
-    size = ell ** (d + 1)
-    budgets.check("residue root-count table", size,
+    budgets.check("residue root-count table", ell ** (d + 1),
                   budgets.DEFAULT_RESIDUE_BUDGET)
-    digits = digit_columns(np.arange(size, dtype=np.int64), ell, d + 1)
-    counts = sum(_horner_mod(digits, r, ell) == 0 for r in range(ell))
+    heads = digit_columns(np.arange(ell ** d, dtype=np.int64), ell, d)
+    rows = np.arange(0, ell ** (d + 1), ell, dtype=np.int64)  # c0 = 0 keys
+    counts = np.zeros(ell ** (d + 1), dtype=np.int64)
+    for r in range(ell):
+        q = 0
+        for c in reversed(heads):
+            q = (q + c) * r % ell
+        counts[rows + -q % ell] += 1
     counts.flags.writeable = False
     return counts
 

@@ -246,6 +246,27 @@ class TestUsageErrors:
         assert out == ""
         assert err == "usage error: z must be finite, got inf\n"
 
+    @pytest.mark.parametrize("grid,want", [
+        ("--x 30,100000 --z 30",
+         "von Mangoldt table for the family moment: requested size "
+         "3000000000000 exceeds the fixed limit 2000000000"),
+        ("--x 30 --z 30,200",
+         "root-count tables for the singular series: requested size "
+         "86470593 exceeds budget 10000000 (override with BHLAB_BUDGET)"),
+    ], ids=["lambda-limit", "residue-budget"])
+    def test_later_point_over_a_limit_refused_before_any_point_runs(
+            self, capsys, monkeypatch, grid, want):
+        def ran(*args, **kwargs):
+            raise AssertionError("second_moment ran")
+
+        monkeypatch.delenv("BHLAB_BUDGET", raising=False)
+        monkeypatch.setattr(moments, "second_moment", ran)
+        code = main(["moment", "--d", "2", "--H", "100", *grid.split()])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err == f"budget refusal: {want}\n"
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -168,6 +168,16 @@ class TestBvAverage:
         with pytest.raises(ValueError, match="isqrt"):
             bv_average(100, 50)
 
+    def test_budget_guards_the_sieve_not_a_callers_table(self, monkeypatch):
+        table = von_mangoldt_table(5000)
+        want = bv_average(5000, 30, table=table)
+        monkeypatch.setenv("BHLAB_BUDGET", "4999")
+        with pytest.raises(BudgetError, match="progression average sieve"):
+            bv_average(5000, 30)
+        assert bv_average(5000, 30, table=table) == want
+        with pytest.raises(ValueError, match="isqrt"):  # the range first
+            bv_average(5000, 72)
+
 
 class TestShortLambdaTable:
     """A caller's Lambda table that stops short of a sum's range is refused
