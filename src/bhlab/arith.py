@@ -253,11 +253,8 @@ def von_mangoldt_table(limit):
         raise ValueError("limit must be nonnegative")
     check_table("prime sieve", limit)
     layer = CompactLambda(limit)
-    odd = 2 * np.flatnonzero(np.unpackbits(layer.bits, bitorder="little")
-                             [: (limit + 1) // 2]) + 1
     table = np.zeros(limit + 1, dtype=np.float64)
-    table[odd] = np.log(odd)
-    table[layer.values[:-1]] = layer.logs[:-1]
+    layer.unpack(table)
     return table
 
 
@@ -309,6 +306,15 @@ class CompactLambda:
         self.filter[self.values[:-1] & _FILTER_MASK] = True
         self.nbytes = (self.bits.nbytes + self.values.nbytes
                        + self.logs.nbytes + self.filter.nbytes)
+        self.limit = limit
+
+    def unpack(self, out):
+        """Write Lambda(n) to out[n] for 0 <= n <= limit, out being a
+        zero-filled float64 array (or slice) of limit + 1 entries."""
+        odd = 2 * np.flatnonzero(np.unpackbits(self.bits, bitorder="little")
+                                 [: (self.limit + 1) // 2]) + 1
+        out[odd] = np.log(odd)
+        out[self.values[:-1]] = self.logs[:-1]
 
     def __getitem__(self, values):
         """Lambda of each int64 entry of values, all in [0, limit]."""

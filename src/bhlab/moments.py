@@ -5,10 +5,13 @@ polynomial.  The family-level accumulators (second_moment, nondiagonal_term)
 run vectorized over fixed-size coefficient chunks with a deterministic merge
 order, optionally fanned out over threads.  Within a chunk the polynomials
 that share a head (c1, ..., cd) differ only in c0, so P(m) = Q(m) + c0 with
-Q evaluated once per head, and the values are formed in tiles of a fixed
-size, so memory does not grow with x.  In exhaustive mode a head's rows
-are its 2H + 1 consecutive values of c0: its values come from Q by
-broadcast, and its singular series from one factor per (head, c0 mod l).
+Q evaluated once per head, and the Lambda terms are read in tiles of a
+fixed size, so memory does not grow with x.  In exhaustive mode a head's
+rows are its 2H + 1 consecutive values of c0, so for each m their Lambda
+terms are one run of a Lambda table extended below 0, read as a window
+row, and their singular series comes from one factor per (head, c0 mod
+l).  Monte Carlo rows and tables past the dense cut are gathered per
+value.
 """
 
 import bisect
@@ -298,14 +301,16 @@ def _euler_factor_tables(d, z, primes=None):
 _DENSE_CUT = 1 << 22
 
 # Tile of the exhaustive and Monte Carlo kernel, in value entries.  The
-# int64 values and float64 Lambda terms of one tile take 256 KB each: they
-# stay in cache, and they are smaller than the per-chunk arrays (8 bytes
-# per row), so the allocator serves them from its heap instead of mapping
-# fresh pages per tile (at 2**17 entries and x = 300 a run took 290k minor
-# page faults, against 13k).  Median wall s of 3 runs on a 2-core machine,
-# tiles of 2**20, 2**17 and 2**15 entries: 2.10, 1.43 and 1.21 (moment --d
-# 2 --H 100 --x 30 --z 30), 0.78, 0.98 and 0.69 (--d 1 --H 500 --x 300
-# --z 20 --threads 2).
+# two arrays of one tile (the window rows and their (row, m) copy, or the
+# int64 values and their Lambda terms) take 256 KB each: they stay in
+# cache, and they are smaller than the per-chunk arrays (8 bytes per row),
+# so the allocator serves them from its heap instead of mapping fresh pages
+# per tile.  With window reads, on a 2-core machine, tiles of 2**15, 2**16
+# and 2**17 entries: moment --d 2 --H 100 --x 30 --z 30 took 11.7k, 62.8k
+# and 71.0k minor page faults and a median 1.04, 1.11 and 1.17 CPU s (5
+# fresh processes each); --d 1 --H 500 --x 300 --z 20 --threads 2 took a
+# median 0.55, 0.46 and 0.43 wall s (11 runs in one process).  No size
+# wins both, so the tile stays at 2**15.
 _TILE = 1 << 15
 
 
@@ -319,6 +324,33 @@ def _head_values(heads, m):
     return acc
 
 
+class _Extended(NamedTuple):
+    """Lambda of the psi variant's argument at each v in [-pad, bound] as
+    table[v + pad]: Lambda(v), and 0 for v <= 0 (psi); Lambda(|v|), and 0
+    at v = 0 (abs)."""
+    table: np.ndarray
+    pad: int
+
+
+def _extended_table(bound, psi_kind, H):
+    """The _Extended table the exhaustive kernel reads over a dense bound.
+
+    For psi the pad is 2H + 1 zeros, and the kernel clamps Q(m) at -H - 1,
+    so a head whose c0 window [Q(m) - H, Q(m) + H] lies wholly below 0
+    reads zeros.  For abs the pad is the positive half mirrored.  The one
+    Lambda fill writes the positive half in place, so no second dense
+    table is alive: 8 bytes per unit of bound, plus 2H + 1 entries for
+    psi, or twice that for abs.
+    """
+    pad = 2 * H + 1 if psi_kind == "psi" else bound
+    layer = CompactLambda(bound)
+    table = np.zeros(pad + bound + 1, dtype=np.float64)
+    layer.unpack(table[pad:])
+    if psi_kind != "psi":
+        table[:pad] = table[:pad:-1]  # v = -bound, ..., -1
+    return _Extended(table, pad)
+
+
 def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
                  center):
     """Per-chunk unnormalized sums of the five decomposition pieces.
@@ -327,22 +359,23 @@ def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
     Q(m) + c0 with Q evaluated once per head.  In exhaustive mode (base =
     2H + 1) a head's rows are its base values c0 = -H, ..., H in order, and
     the chunk is the slice [offset, offset + n) of its heads' blocks, with
-    offset = start mod base; heads may straddle chunks.  Values are Q(m) +
-    c0 by broadcast.  The singular series is formed per (head, c0): for
-    each prime l the head's row of the factor table is gathered at c0 mod
-    l, so no per-row key is formed.  Monte Carlo chunks (base None) go
-    through the same tiler as one-row heads, each with its own c0, and
-    their series is gathered per row.  Values are formed in tiles of at
-    most _TILE entries (one row once x exceeds it): whole heads while a
-    head fits, c0 slices of one head otherwise, so the working set does not
-    grow with x.  Every row's values, Lambda terms, m-sums and series
-    product are those of the row-wise kernel, factor for factor.
+    offset = start mod base; heads may straddle chunks.  The singular
+    series is formed per (head, c0): for each prime l the head's row of the
+    factor table is gathered at c0 mod l, so no per-row key is formed.
+    Monte Carlo chunks (base None) go through the same tiler as one-row
+    heads, each with its own c0, and their series is gathered per row.
+    Lambda terms come from _lambda_tiles, in tiles of at most _TILE entries
+    (one row once x exceeds it), so the working set does not grow with x:
+    window rows of an _Extended lam_table, element gathers from any other.
+    Every row's Lambda terms, m-sums and series product are those of the
+    row-wise kernel, factor for factor.
     """
     n = len(rows)
     m = np.arange(1, x + 1, dtype=np.int64)
     step = max(_TILE // max(x, 1), 1)  # rows per tile
     if base is None:
-        tiles = _head_tiles(rows[:, 1:], rows[:, :1], 0, n, m, step)
+        tiles = _lambda_tiles(rows[:, 1:], rows[:, :1], 0, n, m, step,
+                              lam_table, psi_kind)
         series = np.ones(n, dtype=np.float64)
         for ell, factors in factor_tables.items():
             series *= factors[residue_key(rows.T, ell)]
@@ -351,8 +384,8 @@ def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
         nheads = -(-(offset + n) // base)
         heads = rows[np.maximum(np.arange(nheads) * base - offset, 0), 1:]
         c0s = np.arange(-(base // 2), base // 2 + 1, dtype=np.int64)
-        tiles = _head_tiles(heads, np.broadcast_to(c0s, (nheads, base)),
-                            offset, n, m, step)
+        tiles = _lambda_tiles(heads, np.broadcast_to(c0s, (nheads, base)),
+                              offset, n, m, step, lam_table, psi_kind)
         series = np.ones((nheads, base), dtype=np.float64)
         for ell, factors in factor_tables.items():
             per_head = factors.reshape(-1, ell)[residue_key(heads.T, ell)]
@@ -363,13 +396,7 @@ def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
 
     psi_vec = np.empty(n, dtype=np.float64)
     diag_vec = np.empty(n, dtype=np.float64)
-    for a, vals in tiles:
-        # Lambda-table entry 0 is 0, which drops P(m) <= 0 (psi) or P(m) = 0
-        if psi_kind == "psi":
-            np.maximum(vals, 0, out=vals)
-        else:
-            np.abs(vals, out=vals)
-        lam = lam_table[vals]
+    for a, lam in tiles:
         if psi_kind == "abs":
             lam[:, :1] = 0.0  # literal range starts at m = 2
         b = a + len(lam)
@@ -390,26 +417,65 @@ def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
     }
 
 
-def _head_tiles(heads, c0s, offset, n, m, step):
-    """(first row, values) tiles of the chunk [offset, offset + n) of the
-    heads' blocks, head i's block being Q_i(m) + c0 for the base =
-    c0s.shape[1] values c0 of c0s[i]: groups of whole heads of at most step
-    rows, or c0 slices of at most step rows where a group is one head.  Q
-    is evaluated per group, never for every head of the chunk."""
+def _lambda_tiles(heads, c0s, offset, n, m, step, lam_table, psi_kind):
+    """(first row, Lambda terms) tiles of the chunk [offset, offset + n) of
+    the heads' blocks, head i's block being the rows Q_i(m) + c0 for the
+    base = c0s.shape[1] values c0 of c0s[i]: groups of whole heads of at
+    most step rows, or c0 slices of at most step rows where a group is one
+    head.  Q is evaluated per group, never for every head of the chunk.
+
+    How a tile's Lambda is read is the one branch.  An _Extended table
+    (exhaustive heads, c0 = -H, ..., H) is read in window rows: for one
+    head and m, a tile's c0 are consecutive, so their terms are one run of
+    the table, a row of its sliding window view of width min(base, step).
+    The rows are gathered per (head, m) and copied in (row, m) order into
+    one buffer, so each window tile holds until the next is read.  Any
+    other table is gathered per element, at the values clamped
+    at 0 (psi: its entry 0 is 0, which drops P(m) <= 0) or made absolute.
+    """
     base, x = c0s.shape[1], len(m)
     group = max(step // base, 1)
+    if isinstance(lam_table, _Extended):
+        width = min(base, step)
+        windows = np.lib.stride_tricks.sliding_window_view(lam_table.table,
+                                                           width)
+        H, pad = base // 2, lam_table.pad
+        buffer = np.empty(step * x, dtype=np.float64)
+
+        def read(q, c0):
+            # the window starts at the tile's first c0, or lower so that it
+            # ends at c0 = H; Q below H - pad (psi only) reads the zero pad
+            first = c0[0, 0]
+            begin = min(first, H + 1 - width)
+            at = np.maximum(q, H - pad)
+            at += begin + pad
+            rows = windows[at][:, :, first - begin :
+                               first - begin + c0.shape[1]]
+            tile = buffer[: rows.size].reshape(len(q), c0.shape[1], x)
+            np.copyto(tile, rows.transpose(0, 2, 1))
+            return tile.reshape(len(q) * c0.shape[1], x)
+    else:
+        def read(q, c0):
+            vals = (q[:, None, :] + c0[:, :, None]).reshape(
+                len(q) * c0.shape[1], x)  # reshape(-1, x) fails at x = 0
+            if psi_kind == "psi":
+                np.maximum(vals, 0, out=vals)
+            else:
+                np.abs(vals, out=vals)
+            return lam_table[vals]
+
     for h in range(0, len(heads), group):
         q = _head_values(heads[h : h + group], m)
         lo = max(h * base, offset)
         hi = min((h + group) * base, offset + n)
         if len(q) > 1:
-            block = (q[:, None, :] + c0s[h : h + len(q), :, None]).reshape(
-                len(q) * base, x)  # reshape(-1, x) fails at x = 0
-            yield lo - offset, block[lo - h * base : hi - h * base]
+            yield lo - offset, read(q, c0s[h : h + len(q)])[
+                lo - h * base : hi - h * base]
         else:
             for a in range(lo, hi, step):
                 b = min(a + step, hi)
-                yield a - offset, q + c0s[h, a - h * base : b - h * base, None]
+                yield a - offset, read(q, c0s[h : h + 1,
+                                              a - h * base : b - h * base])
 
 
 def _ordered_map(fn, items, threads):
@@ -461,10 +527,13 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     Accumulates, per visited polynomial, the selected psi variant, the
     truncated singular series S_P(z), and the five decomposition pieces.
     Each chunk evaluates Q(m) = sum_{j>=1} c_j m**j once per head (c1, ...,
-    cd) and adds c0 per row, in tiles of at most 2**15 values (one row once
-    x exceeds that), so each worker's temporaries stay at a few MB.  The
-    Lambda terms come from a dense table up to _DENSE_CUT, from the compact
-    layer past it.  Chunks run on `threads` threads (one per CPU at most) and
+    cd) and reads the Lambda terms in tiles of at most 2**15 values (one
+    row once x exceeds that), so each worker's temporaries stay at a few
+    MB.  Up to _DENSE_CUT an exhaustive run reads window rows of one dense
+    table extended below 0 (_extended_table: 8 bytes per unit of bound,
+    plus 2H + 1 entries for psi, twice that for abs), and a Monte Carlo run
+    gathers from the dense table; past the cut both gather from the compact
+    layer.  Chunks run on `threads` threads (one per CPU at most) and
     merge in traversal order, so the result does not depend on `threads`.
     Monte Carlo mode adds the standard error of the mean direct term from
     the sample variance; for a mean this equals the delete-one jackknife
@@ -476,10 +545,14 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     x = int(x)
     bound = value_bound(spec.d, spec.H, x)
     factor_tables = _euler_factor_tables(spec.d, z, primes)
-    lam_table = (von_mangoldt_table(max(bound, 1)) if bound <= _DENSE_CUT
-                 else CompactLambda(bound))
     psi_kind = "abs_from_one" if abs_from_one else "abs" if use_abs else "psi"
     base = 2 * spec.H + 1 if spec.mode == "exhaustive" else None
+    if bound > _DENSE_CUT:
+        lam_table = CompactLambda(bound)
+    elif base is None:
+        lam_table = von_mangoldt_table(max(bound, 1))
+    else:
+        lam_table = _extended_table(bound, psi_kind, spec.H)
 
     def work(item):
         start, rows = item

@@ -435,18 +435,29 @@ def _rowwise_chunk_stats(rows, x, lam_table, omega_tables, psi_kind, center):
 class TestHeadSharedKernel:
     X, Z = 7, 12
 
-    def _assert_chunks_equal_oracle(self, spec, chunk_size, base):
-        lam = von_mangoldt_table(value_bound(spec.d, spec.H, self.X))
+    def _assert_chunks_equal_oracle(self, spec, chunk_size, base, x=X):
+        """Every chunk's stats against the row-wise oracle, for each psi
+        variant and centering: by element gathers from the dense table and,
+        for exhaustive chunks, by window rows of the extended table."""
+        bound = value_bound(spec.d, spec.H, x)
+        lam = von_mangoldt_table(bound)
         factors = moments._euler_factor_tables(spec.d, self.Z)
         counts = {ell: root_count_table(ell, spec.d) for ell in factors}
-        for start, rows in coefficient_chunks(spec, chunk_size=chunk_size):
-            for kind in ("psi", "abs", "abs_from_one"):
+        for kind in ("psi", "abs", "abs_from_one"):
+            reads = [lam]
+            if base is not None:
+                reads.append(moments._extended_table(bound, kind, spec.H))
+            for start, rows in coefficient_chunks(spec,
+                                                  chunk_size=chunk_size):
                 for center in ("bh", "none"):
-                    got = moments._chunk_stats(start, rows, base, self.X, lam,
-                                               factors, kind, center)
-                    want = _rowwise_chunk_stats(rows, self.X, lam, counts,
-                                                kind, center)
-                    assert got == want, (start, kind, center)
+                    want = _rowwise_chunk_stats(rows, x, lam, counts, kind,
+                                                center)
+                    for table in reads:
+                        got = moments._chunk_stats(start, rows, base, x,
+                                                   table, factors, kind,
+                                                   center)
+                        assert got == want, (start, kind, center,
+                                             type(table).__name__)
 
     # tile of 5 rows: heads of 17 rows straddle tiles as well as chunks
     @pytest.mark.parametrize("tile", [None, 5 * X], ids=["tile", "tiny-tile"])
@@ -463,16 +474,40 @@ class TestHeadSharedKernel:
     # whole heads only, and tiles of exactly one head
     @pytest.mark.parametrize("chunk_size,tile", [
         (64, 40 * X), (10, None), (10, 40 * X), (34, None), (34, 5 * X),
-        (51, 17 * X),
+        (51, 17 * X), (64, 3 * X),
     ], ids=["two-heads-per-tile", "chunk-below-head",
             "chunk-below-head-two-head-tile", "chunk-on-head-boundary",
-            "chunk-on-head-boundary-tiny-tile", "head-sized-tile"])
+            "chunk-on-head-boundary-tiny-tile", "head-sized-tile",
+            "three-row-tile"])
     @pytest.mark.parametrize("d", [1, 2])
     def test_exhaustive_chunk_geometries(self, monkeypatch, d, chunk_size,
                                          tile):
         if tile is not None:
             monkeypatch.setattr(moments, "_TILE", tile)
         self._assert_chunks_equal_oracle(FamilySpec(d=d, H=8), chunk_size, 17)
+
+    # Q(m) of the heads reaches -2 * (30 + 30**2 + 30**3) = -55860, far
+    # below -H - 1 = -3, so psi window reads clamp them onto the zero pad.
+    # With tiles of 2 rows, heads of 5 rows are read in c0 slices of 2, 2
+    # and 1.  At x = 30 a row's m-sum is pairwise, so a tile read in any
+    # layout but (row, m) would change it.
+    @pytest.mark.parametrize("tile", [None, 2 * 30],
+                             ids=["tile", "two-row-tile"])
+    def test_heads_far_below_minus_h(self, monkeypatch, tile):
+        if tile is not None:
+            monkeypatch.setattr(moments, "_TILE", tile)
+        heads = np.array([[-2, -2, -2]], dtype=np.int64)
+        m = np.arange(1, 31, dtype=np.int64)
+        assert moments._head_values(heads, m).min() == -55860
+        self._assert_chunks_equal_oracle(FamilySpec(d=3, H=2), 64, 5, x=30)
+
+    # At x = 1 the value bound (d + 1) H is reached (c0 = c1 = c2 = 8), so
+    # the table ends at the largest value.  Heads of 17 rows are read in c0
+    # slices of 5, 5, 5 and 2: the last window must end at c0 = H.
+    def test_window_rows_end_inside_the_table(self, monkeypatch):
+        monkeypatch.setattr(moments, "_TILE", 5)
+        assert value_bound(2, 8, 1) == 8 + 8 + 8
+        self._assert_chunks_equal_oracle(FamilySpec(d=2, H=8), 64, 17, x=1)
 
     # a tile below x holds one row, so every one-row head takes the
     # single-head slice path
@@ -510,17 +545,21 @@ class TestHeadSharedKernel:
                                                    x, tile, bound):
         monkeypatch.setattr(moments, "_TILE", tile)
         spec = FamilySpec(d=d, H=H)
-        lam = von_mangoldt_table(value_bound(d, H, x))
+        top = value_bound(d, H, x)
         factors = moments._euler_factor_tables(d, 10)
         (start, rows), = coefficient_chunks(spec)
-        tracemalloc.start()
-        try:
-            moments._chunk_stats(start, rows, 2 * H + 1, x, lam, factors,
-                                 "psi", "bh")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound
+        # element gathers from the dense table, then window rows of the
+        # extended table
+        for lam in (von_mangoldt_table(top),
+                    moments._extended_table(top, "psi", H)):
+            tracemalloc.start()
+            try:
+                moments._chunk_stats(start, rows, 2 * H + 1, x, lam, factors,
+                                     "psi", "bh")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, type(lam).__name__
 
 
 class TestCompactLayer:
@@ -550,6 +589,50 @@ class TestCompactLayer:
         assert built[1] != built[0]
         assert report.raw == other.raw
         assert report.mc_stderr == other.mc_stderr
+
+    # d = 2, H = 3: the value bound 9 x**2 is 4,186,116 at x = 682, under
+    # the cut, and past it at x = 683
+    @pytest.mark.parametrize("x,layer", [(682, "dense"), (683, "compact")])
+    def test_exhaustive_both_sides_of_the_dense_cut(self, monkeypatch, x,
+                                                    layer):
+        spec = FamilySpec(d=2, H=3)
+        assert (value_bound(2, 3, x) <= moments._DENSE_CUT) == (
+            layer == "dense")
+        read = []
+        real = moments._chunk_stats
+        monkeypatch.setattr(moments, "_chunk_stats", lambda *args: read.append(
+            type(args[4]).__name__) or real(*args))
+        cut = moments._DENSE_CUT
+        for use_abs, from_one in ((False, False), (True, False),
+                                  (True, True)):
+            report = second_moment(spec, x, 10, use_abs=use_abs,
+                                   abs_from_one=from_one)
+            # the other layer, forced by moving the cut
+            monkeypatch.setattr(moments, "_DENSE_CUT",
+                                0 if layer == "dense" else 2**40)
+            other = second_moment(spec, x, 10, use_abs=use_abs,
+                                  abs_from_one=from_one)
+            monkeypatch.setattr(moments, "_DENSE_CUT", cut)
+            assert report.raw == other.raw, (use_abs, from_one)
+        pair = ["_Extended", "CompactLambda"]
+        if layer == "compact":
+            pair.reverse()
+        assert read == 3 * pair
+
+    # the extended table is filled in place: psi adds 2H + 1 entries to the
+    # dense table (36.8 MiB peak with the dense table alone), abs doubles it
+    @pytest.mark.parametrize("use_abs", [False, True], ids=["psi", "abs"])
+    def test_exhaustive_extended_table_memory(self, use_abs):
+        bound = value_bound(2, 3, 682)
+        assert bound <= moments._DENSE_CUT
+        tracemalloc.start()
+        try:
+            second_moment(FamilySpec(d=2, H=3), 682, 10, use_abs=use_abs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense = 8 * (bound + 1)
+        assert peak < (2 * dense + 8 * 2**20 if use_abs else 40 * 2**20)
 
     def test_threaded_montecarlo_equals_one_thread(self):
         # value bound 3 * 3000 * 30**2 = 8.1e6, past the cut; 4 chunks
