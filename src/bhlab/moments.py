@@ -5,13 +5,14 @@ polynomial.  The family-level accumulators (second_moment, nondiagonal_term)
 run vectorized over fixed-size coefficient chunks with a deterministic merge
 order, optionally fanned out over threads.  Within a chunk the polynomials
 that share a head (c1, ..., cd) differ only in c0, so P(m) = Q(m) + c0 with
-Q evaluated once per head, and the Lambda terms are read in tiles of a
-fixed size, so memory does not grow with x.  In exhaustive mode a head's
-rows are its 2H + 1 consecutive values of c0, so for each m their Lambda
-terms are one run of a Lambda table extended below 0, read as a window
-row, and their singular series comes from one factor per (head, c0 mod
-l).  Monte Carlo rows and tables past the dense cut are gathered per
-value.
+Q evaluated once per head.  In exhaustive mode a row's value at m is
+linear in the base-(2H + 1) digits of its index, so for each m the Lambda
+terms of a box of rows (whole lower digits, a run of the next) are one
+strided view of a Lambda table extended below 0; the views are summed
+over m in the order numpy sums a row, and the singular series comes from
+one factor per (head, c0 mod l).  Monte Carlo rows, small chunks and
+tables past the dense cut are gathered per value, in tiles of a fixed
+size.  Either way memory does not grow with x.
 """
 
 import bisect
@@ -300,17 +301,17 @@ def _euler_factor_tables(d, z, primes=None):
 # dense table takes 128 times the memory.  So the cut caps it at 32 MB.
 _DENSE_CUT = 1 << 22
 
-# Tile of the exhaustive and Monte Carlo kernel, in value entries.  The
-# two arrays of one tile (the window rows and their (row, m) copy, or the
-# int64 values and their Lambda terms) take 256 KB each: they stay in
-# cache, and they are smaller than the per-chunk arrays (8 bytes per row),
-# so the allocator serves them from its heap instead of mapping fresh pages
-# per tile.  With window reads, on a 2-core machine, tiles of 2**15, 2**16
-# and 2**17 entries: moment --d 2 --H 100 --x 30 --z 30 took 11.7k, 62.8k
-# and 71.0k minor page faults and a median 1.04, 1.11 and 1.17 CPU s (5
-# fresh processes each); --d 1 --H 500 --x 300 --z 20 --threads 2 took a
-# median 0.55, 0.46 and 0.43 wall s (11 runs in one process).  No size
-# wins both, so the tile stays at 2**15.
+# Tile of the moment kernel, in entries.  An element-gather tile (the int64
+# values and their Lambda terms) holds at most this many (row, m) entries,
+# and a box of _box_sums at most this many rows, so one lane of its scratch
+# takes 256 KB.  Larger tiles help long x and cost short x.  On a 2-core
+# machine, with boxes, tiles of 2**15, 2**16 and 2**17 entries: moment --d
+# 2 --H 100 --x 30 --z 30 took 0.60-0.75, 0.69-0.79 and 0.66-0.75 CPU s,
+# and --d 1 --H 500 --x 300 --z 20 --threads 2 0.41-0.51, 0.34-0.40 and
+# 0.31-0.40 wall s (3 fresh processes each); at 2**19 the compact gather
+# of d = 2, H = 20, x = 300 went 0.20 -> 0.34 s.  So the tile stays at
+# 2**15.  Chunks of fewer than _TILE // 16 rows take the element gather:
+# their lanes are too short to pay for a few calls per m.
 _TILE = 1 << 15
 
 
@@ -332,22 +333,19 @@ class _Extended(NamedTuple):
     pad: int
 
 
-def _extended_table(bound, psi_kind, H):
-    """The _Extended table the exhaustive kernel reads over a dense bound.
+def _extended_table(bound, psi_kind, pad):
+    """The _Extended table the exhaustive kernel reads over a dense bound,
+    for values down to -pad (pad <= bound).
 
-    For psi the pad is 2H + 1 zeros, and the kernel clamps Q(m) at -H - 1,
-    so a head whose c0 window [Q(m) - H, Q(m) + H] lies wholly below 0
-    reads zeros.  For abs the pad is the positive half mirrored.  The one
-    Lambda fill writes the positive half in place, so no second dense
-    table is alive: 8 bytes per unit of bound, plus 2H + 1 entries for
-    psi, or twice that for abs.
+    For psi the pad is zeros; for abs it is the positive half mirrored.
+    The one Lambda fill writes the positive half in place, so no second
+    dense table is alive: 8 bytes per unit of bound plus pad.
     """
-    pad = 2 * H + 1 if psi_kind == "psi" else bound
     layer = CompactLambda(bound)
     table = np.zeros(pad + bound + 1, dtype=np.float64)
     layer.unpack(table[pad:])
     if psi_kind != "psi":
-        table[:pad] = table[:pad:-1]  # v = -bound, ..., -1
+        table[:pad] = table[2 * pad : pad : -1]  # v = -pad, ..., -1
     return _Extended(table, pad)
 
 
@@ -355,27 +353,25 @@ def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
                  center):
     """Per-chunk unnormalized sums of the five decomposition pieces.
 
-    The rows sharing a head (c1, ..., cd) differ only in c0, so P(m) =
-    Q(m) + c0 with Q evaluated once per head.  In exhaustive mode (base =
-    2H + 1) a head's rows are its base values c0 = -H, ..., H in order, and
-    the chunk is the slice [offset, offset + n) of its heads' blocks, with
-    offset = start mod base; heads may straddle chunks.  The singular
-    series is formed per (head, c0): for each prime l the head's row of the
-    factor table is gathered at c0 mod l, so no per-row key is formed.
-    Monte Carlo chunks (base None) go through the same tiler as one-row
-    heads, each with its own c0, and their series is gathered per row.
-    Lambda terms come from _lambda_tiles, in tiles of at most _TILE entries
-    (one row once x exceeds it), so the working set does not grow with x:
-    window rows of an _Extended lam_table, element gathers from any other.
-    Every row's Lambda terms, m-sums and series product are those of the
-    row-wise kernel, factor for factor.
+    In exhaustive mode (base = 2H + 1) a head (c1, ..., cd) owns the base
+    consecutive rows c0 = -H, ..., H, and the chunk is the slice [offset,
+    offset + n) of its heads' blocks, with offset = start mod base; heads
+    may straddle chunks.  The singular series is formed per (head, c0):
+    for each prime l the head's row of the factor table is gathered at c0
+    mod l, so no per-row key is formed.  Monte Carlo chunks (base None)
+    are one-row heads, each with its own c0, and their series is gathered
+    per row.
+
+    The per-row m-sums psi and diag come from _box_sums where the chunk
+    has at least _TILE // 16 rows of an _Extended lam_table, and otherwise
+    from the element-gather tiles of _lambda_tiles, summed per row by
+    numpy.  Either way every row's Lambda terms, m-sums and series product
+    are those of the row-wise kernel, bit for bit.
     """
     n = len(rows)
     m = np.arange(1, x + 1, dtype=np.int64)
-    step = max(_TILE // max(x, 1), 1)  # rows per tile
     if base is None:
-        tiles = _lambda_tiles(rows[:, 1:], rows[:, :1], 0, n, m, step,
-                              lam_table, psi_kind)
+        heads, c0s, offset = rows[:, 1:], rows[:, :1], 0
         series = np.ones(n, dtype=np.float64)
         for ell, factors in factor_tables.items():
             series *= factors[residue_key(rows.T, ell)]
@@ -384,25 +380,29 @@ def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
         nheads = -(-(offset + n) // base)
         heads = rows[np.maximum(np.arange(nheads) * base - offset, 0), 1:]
         c0s = np.arange(-(base // 2), base // 2 + 1, dtype=np.int64)
-        tiles = _lambda_tiles(heads, np.broadcast_to(c0s, (nheads, base)),
-                              offset, n, m, step, lam_table, psi_kind)
         series = np.ones((nheads, base), dtype=np.float64)
         for ell, factors in factor_tables.items():
             per_head = factors.reshape(-1, ell)[residue_key(heads.T, ell)]
             series *= per_head[:, c0s % ell]
         series = series.ravel()[offset : offset + n]
+        c0s = np.broadcast_to(c0s, (nheads, base))
     if center != "bh":
         series = np.zeros(n, dtype=np.float64)
 
-    psi_vec = np.empty(n, dtype=np.float64)
-    diag_vec = np.empty(n, dtype=np.float64)
-    for a, lam in tiles:
-        if psi_kind == "abs":
-            lam[:, :1] = 0.0  # literal range starts at m = 2
-        b = a + len(lam)
-        psi_vec[a:b] = lam.sum(axis=1)
-        lam *= lam
-        diag_vec[a:b] = lam.sum(axis=1)
+    sums = np.empty((2, n), dtype=np.float64)  # psi and diag per row
+    if isinstance(lam_table, _Extended) and n >= _TILE // 16:
+        _box_sums(start, rows, base, m, lam_table, psi_kind, sums)
+    else:
+        step = max(_TILE // max(x, 1), 1)  # rows per tile
+        for a, lam in _lambda_tiles(heads, c0s, offset, n, m, step,
+                                    lam_table, psi_kind):
+            if psi_kind == "abs":
+                lam[:, :1] = 0.0  # literal range starts at m = 2
+            b = a + len(lam)
+            sums[0, a:b] = lam.sum(axis=1)
+            lam *= lam
+            sums[1, a:b] = lam.sum(axis=1)
+    psi_vec, diag_vec = sums
 
     dev = psi_vec - x * series
     direct_vec = dev * dev
@@ -424,45 +424,24 @@ def _lambda_tiles(heads, c0s, offset, n, m, step, lam_table, psi_kind):
     most step rows, or c0 slices of at most step rows where a group is one
     head.  Q is evaluated per group, never for every head of the chunk.
 
-    How a tile's Lambda is read is the one branch.  An _Extended table
-    (exhaustive heads, c0 = -H, ..., H) is read in window rows: for one
-    head and m, a tile's c0 are consecutive, so their terms are one run of
-    the table, a row of its sliding window view of width min(base, step).
-    The rows are gathered per (head, m) and copied in (row, m) order into
-    one buffer, so each window tile holds until the next is read.  Any
-    other table is gathered per element, at the values clamped
-    at 0 (psi: its entry 0 is 0, which drops P(m) <= 0) or made absolute.
+    Each tile is a (row, m) element gather: from an _Extended table at the
+    values shifted by its pad, from any other at the values clamped at 0
+    (psi: its entry 0 is 0, which drops P(m) <= 0) or made absolute.
     """
     base, x = c0s.shape[1], len(m)
     group = max(step // base, 1)
-    if isinstance(lam_table, _Extended):
-        width = min(base, step)
-        windows = np.lib.stride_tricks.sliding_window_view(lam_table.table,
-                                                           width)
-        H, pad = base // 2, lam_table.pad
-        buffer = np.empty(step * x, dtype=np.float64)
 
-        def read(q, c0):
-            # the window starts at the tile's first c0, or lower so that it
-            # ends at c0 = H; Q below H - pad (psi only) reads the zero pad
-            first = c0[0, 0]
-            begin = min(first, H + 1 - width)
-            at = np.maximum(q, H - pad)
-            at += begin + pad
-            rows = windows[at][:, :, first - begin :
-                               first - begin + c0.shape[1]]
-            tile = buffer[: rows.size].reshape(len(q), c0.shape[1], x)
-            np.copyto(tile, rows.transpose(0, 2, 1))
-            return tile.reshape(len(q) * c0.shape[1], x)
-    else:
-        def read(q, c0):
-            vals = (q[:, None, :] + c0[:, :, None]).reshape(
-                len(q) * c0.shape[1], x)  # reshape(-1, x) fails at x = 0
-            if psi_kind == "psi":
-                np.maximum(vals, 0, out=vals)
-            else:
-                np.abs(vals, out=vals)
-            return lam_table[vals]
+    def read(q, c0):
+        vals = (q[:, None, :] + c0[:, :, None]).reshape(
+            len(q) * c0.shape[1], x)  # reshape(-1, x) fails at x = 0
+        if isinstance(lam_table, _Extended):
+            vals += lam_table.pad
+            return lam_table.table[vals]
+        if psi_kind == "psi":
+            np.maximum(vals, 0, out=vals)
+        else:
+            np.abs(vals, out=vals)
+        return lam_table[vals]
 
     for h in range(0, len(heads), group):
         q = _head_values(heads[h : h + group], m)
@@ -476,6 +455,130 @@ def _lambda_tiles(heads, c0s, offset, n, m, step, lam_table, psi_kind):
                 b = min(a + step, hi)
                 yield a - offset, read(q, c0s[h : h + 1,
                                               a - h * base : b - h * base])
+
+
+def _boxes(lo, hi, base, top, cap):
+    """(first row, level k, run) boxes that tile the exhaustive rows [lo,
+    hi) in order.  A box of level k starts where the k lowest base-(2H + 1)
+    digits of the row index are 0, spans all of them and a run of the next
+    digit that does not carry: run * base**k rows, at most cap, with k <=
+    top."""
+    p = lo
+    while p < hi:
+        k = top
+        while p % base ** k or hi - p < base ** k:
+            k -= 1
+        size = base ** k
+        run = min((hi - p) // size, cap // size, base - p // size % base)
+        yield p, k, run
+        p += run * size
+
+
+def _box_sums(start, rows, base, m, lam_table, psi_kind, out):
+    """psi and diag of the exhaustive rows [start, start + n) into out[0]
+    and out[1], read from the _Extended lam_table one box of rows at a
+    time.
+
+    For a fixed m a row's value is linear in the digits of its index, so
+    the values of a box of level k are P_first(m) + i_k m**k + ... + i_1 m
+    + i_0 over the box's digits: one strided view of the table, of shape
+    (run, base, ..., base) and strides (m**k, ..., m, 1) entries.  The abs
+    variant reads its m = 1 term as the 0 at v = 0, with zero strides.
+    _lane_sum adds the views over m, then their squares.  Scratch is one
+    array per call, of at most min(_TILE, n) entries per row, reused by
+    every box, so a box makes only views.
+    """
+    n, d, x = len(rows), rows.shape[1] - 1, len(m)
+    table, pad = lam_table
+    cap = min(_TILE, n)
+    top = 0
+    while top < d and base ** (top + 1) <= cap:
+        top += 1
+    scratch = np.empty((_scratch_rows(x) + 1, cap), dtype=np.float64)
+    steps = 8 * m[:, None] ** np.arange(d, -1, -1)  # bytes per digit, per m
+    if psi_kind == "abs":
+        steps[:1] = 0
+    steps = {k: [tuple(s) for s in steps[:, d - k :].tolist()]
+             for k in range(top + 1)}
+    for p, k, run in _boxes(start, start + n, base, top, cap):
+        shape, size = (run,) + (base,) * k, run * base ** k
+        row = rows[p - start]
+        first = (_head_values(row[None, 1:], m)[0] + (row[0] + pad)) * 8
+        if psi_kind == "abs":
+            first[:1] = 8 * pad
+        first, box_steps = first.tolist(), steps[k]
+        lanes = scratch[:, :size].reshape((-1,) + shape)
+        sq = lanes[-1]
+
+        def term(t):
+            return np.ndarray(shape, np.float64, table, first[t],
+                              box_steps[t])
+
+        sums = out[:, p - start : p - start + size].reshape((2,) + shape)
+        _lane_sum(term, x, lanes[:-1], sums[0])
+        _lane_sum(term, x, lanes[:-1], sums[1], sq)
+
+
+def _scratch_rows(n):
+    """Arrays of _lane_sum's scratch for n terms: 8 lanes, and one held
+    half per nested halving after the first (numpy halves the last half
+    until it is at most 128 long)."""
+    rows = 7
+    while n > 128:
+        n -= n // 2 - n // 2 % 8
+        rows += 1
+    return max(rows, 8)
+
+
+def _lane_sum(term, n, scratch, out, sq=None):
+    """Elementwise sum over t < n of the arrays term(t), or of their
+    squares formed in the buffer sq, into out, in the order numpy's sum
+    adds a contiguous row of n entries, so each entry equals that row's
+    sum(axis=-1) bit for bit.
+
+    That order is pairwise: under 8 entries, left to right; up to 128,
+    into 8 lanes of stride 8, combined as ((r0 + r1) + (r2 + r3)) + ((r4 +
+    r5) + (r6 + r7)), then the tail in order; past 128, the row is split
+    at n // 2 less its remainder mod 8, and each half is summed the same
+    way.  scratch holds _scratch_rows(n) arrays of term's shape, and out
+    holds the first half of the outermost split.
+    """
+    lanes, held = list(scratch[:8]), [out, *scratch[8:]]
+
+    def put(lane, t):
+        if sq is None:
+            np.copyto(lane, term(t))
+        else:
+            np.square(term(t), out=lane)
+
+    def add(lane, t):
+        v = term(t) if sq is None else np.square(term(t), out=sq)
+        np.add(lane, v, out=lane)
+
+    def pairwise(lo, n, depth):  # into lanes[0]
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            pairwise(lo, half, depth + 1)
+            np.copyto(held[depth], lanes[0])
+            pairwise(lo + half, n - half, depth + 1)
+            lanes[0] += held[depth]
+            return
+        if n == 0:
+            lanes[0].fill(0.0)
+        width, body = (8, n - n % 8) if n >= 8 else (min(n, 1), n)
+        for t in range(lo, lo + width):
+            put(lanes[t - lo], t)
+        for t in range(lo + width, lo + body):
+            add(lanes[(t - lo) % width], t)
+        if width == 8:
+            for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6),
+                         (0, 4)):
+                lanes[a] += lanes[b]
+        for t in range(lo + body, lo + n):
+            add(lanes[0], t)
+
+    pairwise(0, n, 0)
+    np.copyto(out, lanes[0])
 
 
 def _ordered_map(fn, items, threads):
@@ -526,18 +629,21 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
 
     Accumulates, per visited polynomial, the selected psi variant, the
     truncated singular series S_P(z), and the five decomposition pieces.
-    Each chunk evaluates Q(m) = sum_{j>=1} c_j m**j once per head (c1, ...,
-    cd) and reads the Lambda terms in tiles of at most 2**15 values (one
-    row once x exceeds that), so each worker's temporaries stay at a few
-    MB.  Up to _DENSE_CUT an exhaustive run reads window rows of one dense
-    table extended below 0 (_extended_table: 8 bytes per unit of bound,
-    plus 2H + 1 entries for psi, twice that for abs), and a Monte Carlo run
-    gathers from the dense table; past the cut both gather from the compact
-    layer.  Chunks run on `threads` threads (one per CPU at most) and
-    merge in traversal order, so the result does not depend on `threads`.
-    Monte Carlo mode adds the standard error of the mean direct term from
-    the sample variance; for a mean this equals the delete-one jackknife
-    standard error.
+    Up to _DENSE_CUT an exhaustive run reads one dense table extended
+    below 0 (_extended_table: 8 bytes per unit of bound plus the pad H (1
+    + x + ... + x**(d-1)), zeros for psi and mirrored for abs), one
+    strided view per m for each box of at most 2**15 rows, summed into
+    lanes of one scratch per chunk (8 + about log2(x/128) arrays of at
+    most 2**15 entries).  Monte Carlo runs, exhaustive chunks under 2**11
+    rows and runs past the cut gather per value, from the dense or
+    extended table or the compact layer, in tiles of at most 2**15 values
+    (one row once x exceeds that), with Q(m) = sum_{j>=1} c_j m**j
+    evaluated once per head (c1, ..., cd).  So each worker's temporaries
+    stay at a few MB.  Chunks run on `threads` threads (one per CPU at
+    most) and merge in traversal order, so the result does not depend on
+    `threads`.  Monte Carlo mode adds the standard error of the mean
+    direct term from the sample variance; for a mean this equals the
+    delete-one jackknife standard error.
     """
     if abs_from_one and not use_abs:
         raise ValueError("abs_from_one requires use_abs")
@@ -552,7 +658,9 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     elif base is None:
         lam_table = von_mangoldt_table(max(bound, 1))
     else:
-        lam_table = _extended_table(bound, psi_kind, spec.H)
+        # P(m) >= m**d - H (1 + m + ... + m**(d-1)) >= -pad for m <= x
+        pad = spec.H * sum(x ** j for j in range(spec.d))
+        lam_table = _extended_table(bound, psi_kind, pad)
 
     def work(item):
         start, rows = item

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import threading
@@ -394,6 +395,12 @@ class TestChunkMerge:
         assert self._peak_in_flight(monkeypatch, 8) <= 3
 
 
+def _extended_pad(d, H, x):
+    """The pad second_moment gives the extended table: -min P(m) over the
+    degree-d, height-H family and 1 <= m <= x is at most this."""
+    return H * sum(x ** j for j in range(d))
+
+
 def _rowwise_chunk_stats(rows, x, lam_table, omega_tables, psi_kind, center):
     """Reference kernel: full Horner on every row, masked Lambda gather."""
     n, width = rows.shape
@@ -435,10 +442,12 @@ def _rowwise_chunk_stats(rows, x, lam_table, omega_tables, psi_kind, center):
 class TestHeadSharedKernel:
     X, Z = 7, 12
 
-    def _assert_chunks_equal_oracle(self, spec, chunk_size, base, x=X):
-        """Every chunk's stats against the row-wise oracle, for each psi
-        variant and centering: by element gathers from the dense table and,
-        for exhaustive chunks, by window rows of the extended table."""
+    def _assert_chunks_equal_oracle(self, spec, chunk_size, base, x=X,
+                                    chunks=None):
+        """Every chunk's stats (the first `chunks` only, if given) against
+        the row-wise oracle, for each psi variant and centering: by element
+        gathers from the dense table and, for exhaustive chunks, by reads of
+        the extended table (boxes, or element gathers for small chunks)."""
         bound = value_bound(spec.d, spec.H, x)
         lam = von_mangoldt_table(bound)
         factors = moments._euler_factor_tables(spec.d, self.Z)
@@ -446,9 +455,10 @@ class TestHeadSharedKernel:
         for kind in ("psi", "abs", "abs_from_one"):
             reads = [lam]
             if base is not None:
-                reads.append(moments._extended_table(bound, kind, spec.H))
-            for start, rows in coefficient_chunks(spec,
-                                                  chunk_size=chunk_size):
+                reads.append(moments._extended_table(
+                    bound, kind, _extended_pad(spec.d, spec.H, x)))
+            for start, rows in itertools.islice(
+                    coefficient_chunks(spec, chunk_size=chunk_size), chunks):
                 for center in ("bh", "none"):
                     want = _rowwise_chunk_stats(rows, x, lam, counts, kind,
                                                 center)
@@ -486,11 +496,12 @@ class TestHeadSharedKernel:
             monkeypatch.setattr(moments, "_TILE", tile)
         self._assert_chunks_equal_oracle(FamilySpec(d=d, H=8), chunk_size, 17)
 
-    # Q(m) of the heads reaches -2 * (30 + 30**2 + 30**3) = -55860, far
-    # below -H - 1 = -3, so psi window reads clamp them onto the zero pad.
-    # With tiles of 2 rows, heads of 5 rows are read in c0 slices of 2, 2
-    # and 1.  At x = 30 a row's m-sum is pairwise, so a tile read in any
-    # layout but (row, m) would change it.
+    # Horner on a head far below 0: (-2, -2, -2) reaches -2 * (30 + 30**2
+    # + 30**3) = -55860.  The family's own heads (c3 >= 1) reach Q(2) = -4,
+    # below -H - 1 = -3, so rows read the table below 0.  At the default
+    # tile these chunks of 64 rows take the element gather; with tiles of
+    # 60 entries they take boxes, up to two 25-row planes each.  At x = 30 a row's m-sum fills 8 lanes and a tail, so a sum in
+    # any other order would change it.
     @pytest.mark.parametrize("tile", [None, 2 * 30],
                              ids=["tile", "two-row-tile"])
     def test_heads_far_below_minus_h(self, monkeypatch, tile):
@@ -503,7 +514,7 @@ class TestHeadSharedKernel:
 
     # At x = 1 the value bound (d + 1) H is reached (c0 = c1 = c2 = 8), so
     # the table ends at the largest value.  Heads of 17 rows are read in c0
-    # slices of 5, 5, 5 and 2: the last window must end at c0 = H.
+    # slices of 5, 5, 5 and 2: the last box must end at c0 = H.
     def test_window_rows_end_inside_the_table(self, monkeypatch):
         monkeypatch.setattr(moments, "_TILE", 5)
         assert value_bound(2, 8, 1) == 8 + 8 + 8
@@ -519,6 +530,81 @@ class TestHeadSharedKernel:
         spec = FamilySpec(d=3, H=1000, mode="montecarlo", sample_count=500,
                           seed=7)
         self._assert_chunks_equal_oracle(spec, CHUNK_SIZE, None)
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """The arguments of every call of moments.<name> (a generator's
+        items, for _boxes), as made."""
+        seen = []
+        real = getattr(moments, name)
+        if name == "_boxes":
+            def spy(*args):
+                for box in real(*args):
+                    seen.append(box)
+                    yield box
+        else:
+            def spy(*args):
+                seen.append(args)
+                return real(*args)
+        monkeypatch.setattr(moments, name, spy)
+        return seen
+
+    # Past x = 7 the m-sums leave numpy's left-to-right branch: 8 and 9
+    # fill the 8 lanes, 30 adds a tail, 128 is the longest unsplit row, and
+    # 129 and 300 are halved.  Each chunk size of the geometries above is
+    # read in boxes, since a tile of 16 chunks' rows routes full chunks to
+    # them (the first 40 chunks for d >= 2, which cross planes).  d = 3
+    # stops at x = 30: at x = 128 its value bound is past the dense cut for
+    # every H.
+    @pytest.mark.parametrize("d,x", [(d, x) for d in (1, 2, 3)
+                                     for x in (8, 9, 30, 128, 129, 300)
+                                     if d < 3 or x <= 30])
+    def test_boxes_equal_rowwise_oracle_past_eight_terms(self, monkeypatch,
+                                                          d, x):
+        boxes = self._spy(monkeypatch, "_boxes")
+        for chunk_size in (64, 10, 34, 51):
+            monkeypatch.setattr(moments, "_TILE", 16 * chunk_size)
+            self._assert_chunks_equal_oracle(FamilySpec(d=d, H=8), chunk_size,
+                                             17, x=x, chunks=40)
+        assert {k for _, k, _ in boxes} == {0, 1}
+
+    # d = 3, H = 2..4 with tiles of two cubes of base**3 rows: chunks of
+    # base**3 + base**2 + base + 2 rows are read in boxes of every level,
+    # whole cubes (3) and planes (2) of c0, c1 and c2 among them; the second
+    # chunk starts mid-head.
+    @pytest.mark.parametrize("H", [2, 3, 4])
+    def test_boxes_span_planes(self, monkeypatch, H):
+        base = 2 * H + 1
+        monkeypatch.setattr(moments, "_TILE", 2 * base ** 3)
+        boxes = self._spy(monkeypatch, "_boxes")
+        self._assert_chunks_equal_oracle(
+            FamilySpec(d=3, H=H), base ** 3 + base ** 2 + base + 2, base,
+            x=30)
+        assert {k for _, k, _ in boxes} == {0, 1, 2, 3}
+
+    # tiles of 5 rows against heads of 17: each box is a c0 slice of one
+    # head, at most 5 rows long, so c0 columns split across boxes
+    def test_head_wider_than_a_lane(self, monkeypatch):
+        monkeypatch.setattr(moments, "_TILE", 5)
+        boxes = self._spy(monkeypatch, "_boxes")
+        self._assert_chunks_equal_oracle(FamilySpec(d=2, H=8), 64, 17, x=30,
+                                         chunks=40)
+        assert {k for _, k, _ in boxes} == {0}
+        assert {run for *_, run in boxes} == {1, 2, 3, 4, 5}
+
+    # chunks under _TILE // 16 rows read the extended table by element
+    # gathers: a whole family of 147 rows at the default tile, and the
+    # 8-row last chunk of d = 2, H = 8 in chunks of 64 with a tile of 1024
+    def test_small_chunks_take_the_element_gather(self, monkeypatch):
+        boxed = self._spy(monkeypatch, "_box_sums")
+        assert FamilySpec(d=2, H=3).visit_count < moments._TILE // 16
+        self._assert_chunks_equal_oracle(FamilySpec(d=2, H=3), CHUNK_SIZE, 7,
+                                         x=30)
+        assert boxed == []
+        monkeypatch.setattr(moments, "_TILE", 16 * 64)
+        self._assert_chunks_equal_oracle(FamilySpec(d=2, H=8), 64, 17, x=9)
+        assert {len(args[1]) for args in boxed} == {64}
+        assert FamilySpec(d=2, H=8).visit_count % 64 == 8
 
     def test_threaded_exhaustive_memory_is_bounded(self):
         # the row-wise kernel peaks near 560 MB here: 65536 x 300 temporaries
@@ -548,10 +634,12 @@ class TestHeadSharedKernel:
         top = value_bound(d, H, x)
         factors = moments._euler_factor_tables(d, 10)
         (start, rows), = coefficient_chunks(spec)
-        # element gathers from the dense table, then window rows of the
-        # extended table
+        # element gathers from the dense table, then reads of the extended
+        # table: element gathers for the first family (210 rows, under
+        # _TILE // 16), boxes for the second (4410 rows)
+        pad = _extended_pad(d, H, x)
         for lam in (von_mangoldt_table(top),
-                    moments._extended_table(top, "psi", H)):
+                    moments._extended_table(top, "psi", pad)):
             tracemalloc.start()
             try:
                 moments._chunk_stats(start, rows, 2 * H + 1, x, lam, factors,
@@ -560,6 +648,33 @@ class TestHeadSharedKernel:
             finally:
                 tracemalloc.stop()
             assert peak < bound, type(lam).__name__
+
+
+class TestLaneSum:
+    """_lane_sum adds arrays in the order numpy's sum adds a contiguous row,
+    which the exhaustive kernel's m-sums rely on for bit-identical output.
+    If a numpy release changes that order, this test fails."""
+
+    @pytest.mark.parametrize("lengths", [
+        range(301), [1000], [4096], [8191], [8192], [8193], [20000], [40000],
+    ], ids=["0-300", "1000", "4096", "8191", "8192", "8193", "20000",
+            "40000"])
+    def test_equals_numpy_row_sum(self, lengths):
+        rng = np.random.default_rng(len(lengths) + lengths[-1])
+        rows = 16
+        for n in lengths:
+            # values spread over 1e-8 to 1e8, so the order shows in rounding
+            terms = np.exp(rng.uniform(math.log(1e-8), math.log(1e8),
+                                       size=(n, rows)))
+            scratch = np.empty((moments._scratch_rows(n), rows))
+            sums, squares = np.empty(rows), np.empty(rows)
+            moments._lane_sum(terms.__getitem__, n, scratch, sums)
+            moments._lane_sum(terms.__getitem__, n, scratch, squares,
+                              np.empty(rows))
+            row_major = np.ascontiguousarray(terms.T)
+            assert np.array_equal(sums, row_major.sum(axis=-1)), n
+            assert np.array_equal(squares,
+                                  (row_major * row_major).sum(axis=-1)), n
 
 
 class TestCompactLayer:
@@ -633,6 +748,20 @@ class TestCompactLayer:
             tracemalloc.stop()
         dense = 8 * (bound + 1)
         assert peak < (2 * dense + 8 * 2**20 if use_abs else 40 * 2**20)
+
+    # abs mirrors only the pad below 0, H (1 + x) entries at d = 2, so its
+    # table is the psi table's size (68.8 MiB peak when abs mirrored the
+    # whole bound)
+    def test_exhaustive_abs_table_is_one_dense_table(self):
+        bound = value_bound(2, 3, 682)
+        pad = _extended_pad(2, 3, 682)
+        tracemalloc.start()
+        try:
+            second_moment(FamilySpec(d=2, H=3), 682, 10, use_abs=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (bound + 1 + pad) + 8 * 2**20
 
     def test_threaded_montecarlo_equals_one_thread(self):
         # value bound 3 * 3000 * 30**2 = 8.1e6, past the cut; 4 chunks
