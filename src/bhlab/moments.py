@@ -457,12 +457,15 @@ def _lambda_tiles(heads, c0s, offset, n, m, step, lam_table, psi_kind):
                                               a - h * base : b - h * base])
 
 
-def _boxes(lo, hi, base, top, cap):
+def _boxes(lo, hi, base, d, cap):
     """(first row, level k, run) boxes that tile the exhaustive rows [lo,
-    hi) in order.  A box of level k starts where the k lowest base-(2H + 1)
-    digits of the row index are 0, spans all of them and a run of the next
-    digit that does not carry: run * base**k rows, at most cap, with k <=
-    top."""
+    hi) of degree d in order.  A box of level k <= d starts where the k
+    lowest base-(2H + 1) digits of the row index are 0, spans all of them
+    and a run of the next digit that does not carry: run * base**k rows,
+    at most cap."""
+    top = d
+    while base ** top > cap:
+        top -= 1
     p = lo
     while p < hi:
         k = top
@@ -491,22 +494,18 @@ def _box_sums(start, rows, base, m, lam_table, psi_kind, out):
     n, d, x = len(rows), rows.shape[1] - 1, len(m)
     table, pad = lam_table
     cap = min(_TILE, n)
-    top = 0
-    while top < d and base ** (top + 1) <= cap:
-        top += 1
     scratch = np.empty((_scratch_rows(x) + 1, cap), dtype=np.float64)
     steps = 8 * m[:, None] ** np.arange(d, -1, -1)  # bytes per digit, per m
     if psi_kind == "abs":
         steps[:1] = 0
-    steps = {k: [tuple(s) for s in steps[:, d - k :].tolist()]
-             for k in range(top + 1)}
-    for p, k, run in _boxes(start, start + n, base, top, cap):
+    steps = steps.tolist()
+    for p, k, run in _boxes(start, start + n, base, d, cap):
         shape, size = (run,) + (base,) * k, run * base ** k
         row = rows[p - start]
         first = (_head_values(row[None, 1:], m)[0] + (row[0] + pad)) * 8
         if psi_kind == "abs":
             first[:1] = 8 * pad
-        first, box_steps = first.tolist(), steps[k]
+        first, box_steps = first.tolist(), [s[d - k :] for s in steps]
         lanes = scratch[:, :size].reshape((-1,) + shape)
         sq = lanes[-1]
 
