@@ -4,6 +4,11 @@ The weights are the Mobius function restricted to squarefree products of
 fewer than a parity-matched number of primes below the cutoff w: an even
 truncation level gives upper weights, an odd level lower weights.  They are
 supported on divisors of the primorial of w and vanish from y upward.
+
+So both sides of the sandwich depend on n only through its kernel
+g = gcd(n, primorial of w), and the sandwich check runs over the kernels
+up to n_max (the squarefree products of primes below w), never over every
+n: its arrays have at most min(n_max, 2**r) entries for the r primes.
 """
 
 import itertools
@@ -108,7 +113,15 @@ def sandwich_check(lower, upper, n_max):
     where ind(n) is 1 when n has no prime factor below w and 0 otherwise.
     On divisors of the primorial of w (the only values the neutraliser
     bounds consume) ind(n) coincides with the indicator of n = 1.
-    A violation is reported, not raised; n_max > MAX_TABLE is refused.
+    A violation is reported, not raised.  n_max > MAX_TABLE is refused, and
+    so is a key k <= n_max that is not a squarefree product of primes
+    below w; keys above n_max divide no n and are ignored.
+
+    Over the sorted kernels g <= n_max, one pass per prime p (sums[g] +=
+    sums[g/p] for p | g) gives each weight's divisor sums, and one Moebius
+    pass per prime turns floor(n_max/g) into the count of n with kernel g,
+    of which n = g is the first.  Work and memory are O(r |G|) for the r
+    primes below w and the |G| <= min(n_max, 2**r) kernels.
     """
     if (lower.w, lower.y) != (upper.w, upper.y):
         raise ValueError("weight pair must share the same w and y")
@@ -117,21 +130,33 @@ def sandwich_check(lower, upper, n_max):
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     check_table("sandwich check arrays", n_max)
-    # |sum lambda_k| <= 2**24, the support size, so the sums fit int32
-    lo = np.zeros(n_max + 1, dtype=np.int32)
-    hi = np.zeros(n_max + 1, dtype=np.int32)
-    for sums, weights in ((lo, lower), (hi, upper)):
-        for k, lam in weights.table.items():
-            if k <= n_max:
-                sums[k::k] += lam
-    ind = np.ones(n_max + 1, dtype=bool)
-    for p in primes_below(lower.w):
-        ind[p::p] = False
-    bad = np.nonzero((lo[1:] > ind[1:]) | (hi[1:] < ind[1:]))[0] + 1
+    primes = primes_below(lower.w)
+    kernels = np.ones(1, dtype=np.int64)
+    for p in primes:
+        kernels = np.concatenate((kernels, p * kernels[kernels <= n_max // p]))
+    kernels.sort()
+    lo, hi = sums = np.zeros((2, len(kernels)), dtype=np.int64)
+    for row, weights in zip(sums, (lower, upper)):
+        kept = {k: lam for k, lam in weights.table.items() if k <= n_max}
+        keys = np.array(list(kept), dtype=np.int64)
+        at = np.minimum(np.searchsorted(kernels, keys), len(kernels) - 1)
+        stray = keys[kernels[at] != keys]
+        if len(stray):
+            raise ValueError(f"weight key {stray[0]} is not a squarefree "
+                             f"product of primes below w={weights.w}")
+        row[at] = list(kept.values())
+    count = n_max // kernels
+    for p in primes:
+        has = np.flatnonzero(kernels % p == 0)
+        at = np.searchsorted(kernels, kernels[has] // p)
+        sums[:, has] += sums[:, at]
+        count[at] -= count[has]
+    ind = kernels == 1
+    bad = np.flatnonzero((lo > ind) | (hi < ind))
     return SandwichReport(
         checked=n_max,
-        violations=len(bad),
-        first_violation=int(bad[0]) if len(bad) else None,
+        violations=int(count[bad].sum()),
+        first_violation=int(kernels[bad[0]]) if len(bad) else None,
     )
 
 
@@ -140,14 +165,18 @@ def _weighted_sum(weights, density):
 
     density maps each prime l below w, in ascending order, to its value.
     Support values are products of distinct primes below w, so the primes
-    below w that divide k are exactly its prime factors.
+    below w that divide k are exactly its prime factors; the scan stops
+    once they are all divided out.
     """
     terms = []
     for k in weights.support:
-        val = 1.0
+        val, rest = 1.0, k
         for ell, value in density.items():
-            if k % ell == 0:
+            if rest == 1:
+                break
+            if rest % ell == 0:
                 val *= value
+                rest //= ell
         terms.append(weights.table[k] * val)
     return math.fsum(terms)
 

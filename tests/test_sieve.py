@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,3 +367,74 @@ class TestSandwichArrays:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def perturbed(weights, rng):
+    """weights with about a tenth of the keys set to +-2 and a tenth to 0."""
+    table = dict(weights.table)
+    for k in table:
+        u = rng.random()
+        if u < 0.1:
+            table[k] = int(rng.choice((-2, 2)))
+        elif u < 0.2:
+            table[k] = 0
+    return replace(weights, table=table)
+
+
+class TestSandwichKernels:
+    @pytest.mark.parametrize("w", [3, 4, 6, 10, 12, 20, 30, 40])
+    def test_perturbed_pairs_equal_int64_sums(self, rng, w):
+        reports = []
+        for n_max in (1, 2, 7, 100, 1000, 30000):
+            for y in (50, 1e3, 1e5):
+                for _ in range(3):
+                    lower, upper = (perturbed(build_brun_weights(w, y, parity),
+                                              rng)
+                                    for parity in ("lower", "upper"))
+                    rep = sandwich_check(lower, upper, n_max)
+                    assert rep == int64_sandwich(lower, upper, n_max), \
+                        (w, y, n_max)
+                    reports.append(rep)
+        assert any(rep.violations for rep in reports)
+
+    # 23 and 24 primes below w; 24 is the most a support may have
+    @pytest.mark.parametrize("w", [89, 97])
+    @pytest.mark.parametrize("n_max", [10**3, 10**5])
+    def test_most_primes_equal_int64_sums(self, rng, w, n_max):
+        for y in (1e3, 1e7, 1e9):
+            pair = [build_brun_weights(w, y, parity)
+                    for parity in ("lower", "upper")]
+            for lower, upper in (pair, [perturbed(w, rng) for w in pair]):
+                assert sandwich_check(lower, upper, n_max) == int64_sandwich(
+                    lower, upper, n_max), (w, y, n_max)
+
+    # 4 is not squarefree; 7 and 14 have a prime factor past w = 6
+    @pytest.mark.parametrize("key", [4, 7, 14])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_key_off_the_kernels_refused(self, key, side):
+        pair = [build_brun_weights(6, 100, parity)
+                for parity in ("lower", "upper")]
+        pair[side] = replace(pair[side], table={**pair[side].table, key: 1})
+        with pytest.raises(ValueError) as info:
+            sandwich_check(*pair, 100)
+        assert str(info.value) == (f"weight key {key} is not a squarefree "
+                                   "product of primes below w=6")
+
+    def test_key_past_n_max_ignored(self):
+        lower = build_brun_weights(6, 100, "lower")
+        upper = build_brun_weights(6, 100, "upper")
+        stray = replace(upper, table={**upper.table, 4: 1, 7: -1})
+        assert sandwich_check(lower, stray, 3) == int64_sandwich(
+            lower, stray, 3) == SandwichReport(3, 0, None)
+
+    def test_fixed_limit_allocates_no_table_of_size_n_max(self):
+        lower = build_brun_weights(40, 1e7, "lower")
+        upper = build_brun_weights(40, 1e7, "upper")
+        tracemalloc.start()
+        try:
+            rep = sandwich_check(lower, upper, MAX_TABLE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep == SandwichReport(MAX_TABLE, 0, None)
+        assert peak < 2 << 20
