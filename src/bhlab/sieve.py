@@ -11,7 +11,6 @@ up to n_max (the squarefree products of primes below w), never over every
 n: its arrays have at most min(n_max, 2**r) entries for the r primes.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -90,14 +89,23 @@ def build_brun_weights(w, y, parity, level=None):
     primes = primes_below(w)
     if len(primes) > _MAX_SUPPORT_PRIMES:
         raise ValueError(f"prime cutoff w={w} gives an unmanageable support")
-    table = {1: 1}
-    for r in range(1, min(level, len(primes)) + 1):
-        sign = -1 if r % 2 else 1
-        for combo in itertools.combinations(primes, r):
-            k = math.prod(combo)
-            if k < y:
-                table[k] = sign
+    keys, counts = _squarefree_products(primes, math.ceil(y) - 1, level)
+    table = dict(zip(keys.tolist(), (1 - 2 * (counts % 2)).tolist()))
     return SieveWeights(w=w, y=y, parity=parity, level=level, table=table)
+
+
+def _squarefree_products(primes, top, most):
+    """Ascending products k <= top of at most `most` distinct primes, and
+    their prime counts: int64 keys below 2**63, Python ints past that."""
+    big = min(top, math.prod(primes)) >= 2**63
+    keys = np.ones(1, dtype=object if big else np.int64)
+    counts = np.zeros(1, dtype=np.int64)
+    for p in primes:
+        grow = (counts < most) & (keys <= top // p)
+        keys = np.concatenate((keys, p * keys[grow]))
+        counts = np.concatenate((counts, counts[grow] + 1))
+    order = keys.argsort()
+    return keys[order], counts[order]
 
 
 class SandwichReport(NamedTuple):
@@ -131,10 +139,7 @@ def sandwich_check(lower, upper, n_max):
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     check_table("sandwich check arrays", n_max)
     primes = primes_below(lower.w)
-    kernels = np.ones(1, dtype=np.int64)
-    for p in primes:
-        kernels = np.concatenate((kernels, p * kernels[kernels <= n_max // p]))
-    kernels.sort()
+    kernels = _squarefree_products(primes, n_max, len(primes))[0]
     lo, hi = sums = np.zeros((2, len(kernels)), dtype=np.int64)
     for row, weights in zip(sums, (lower, upper)):
         kept = {k: lam for k, lam in weights.table.items() if k <= n_max}
@@ -164,21 +169,15 @@ def _weighted_sum(weights, density):
     """sum_k lambda_k prod_{l | k} density[l] over the support, by fsum.
 
     density maps each prime l below w, in ascending order, to its value.
-    Support values are products of distinct primes below w, so the primes
-    below w that divide k are exactly its prime factors; the scan stops
-    once they are all divided out.
+    One masked multiply per prime forms each key's product in that order.
     """
-    terms = []
-    for k in weights.support:
-        val, rest = 1.0, k
-        for ell, value in density.items():
-            if rest == 1:
-                break
-            if rest % ell == 0:
-                val *= value
-                rest //= ell
-        terms.append(weights.table[k] * val)
-    return math.fsum(terms)
+    keys = list(weights.table)
+    big = max(keys, default=0) >= 2**63
+    keys = np.array(keys, dtype=object if big else np.int64)
+    val = np.ones(len(keys))
+    for ell, value in density.items():
+        val[keys % ell == 0] *= value
+    return math.fsum(val * list(weights.table.values()))
 
 
 def sieve_sum(weights, h):
