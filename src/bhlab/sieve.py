@@ -13,16 +13,19 @@ n: its arrays have at most min(n_max, 2**r) entries for the r primes.
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .arith import primes_below
-from .budgets import check_table
+from .budgets import DEFAULT_SUPPORT_BUDGET, check, check_table
 from .eulerprod import euler_product
 from .poly import local_root_counts
 
-_MAX_SUPPORT_PRIMES = 24  # 2**24 subset enumerations; far beyond desk scale
+# A fixed limit on the primes below w: 97 is the 25th prime, so the primes
+# below min(w, 98) decide it without sieving past 97.
+_MAX_SUPPORT_PRIMES = 24
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,15 @@ def truncation_level(w, y, parity):
     level fits, upper weights degrade to the bare normalization {1: 1};
     lower weights need at least level 1, i.e. y > w.
     """
-    cap = math.floor(math.log(y) / math.log(max(w, 2.0)))
+    base = max(w, 2.0)
+    cap = math.floor(math.log(y) / math.log(base))
+    # the float quotient can miss an integer either way at exact powers:
+    # settle base**cap <= y < base**(cap + 1) in exact rationals
+    base, exact_y = Fraction(base), Fraction(y)
+    while base ** (cap + 1) <= exact_y:
+        cap += 1
+    while base ** cap > exact_y:
+        cap -= 1
     if parity == "upper":
         return max(0, cap - (cap % 2))
     level = cap if cap % 2 else cap - 1
@@ -70,7 +81,9 @@ def build_brun_weights(w, y, parity, level=None):
     lambda_k = mu(k) for squarefree k composed of primes below w with at
     most `level` prime factors and k < y, else 0.  `level` defaults to the
     parity-matched bound from truncation_level and may be overridden with
-    any integer of the right parity.
+    any integer of the right parity.  More than 24 primes below w (w > 97)
+    are refused at a fixed limit, before any sieve past 97, and a support
+    that may pass DEFAULT_SUPPORT_BUDGET keys is refused before it is built.
     """
     if parity not in ("upper", "lower"):
         raise ValueError(f"parity must be 'upper' or 'lower', got {parity!r}")
@@ -86,10 +99,17 @@ def build_brun_weights(w, y, parity, level=None):
         level = truncation_level(w, y, parity)
     elif level % 2 != (0 if parity == "upper" else 1):
         raise ValueError(f"level {level} has the wrong parity for {parity}")
-    primes = primes_below(w)
-    if len(primes) > _MAX_SUPPORT_PRIMES:
-        raise ValueError(f"prime cutoff w={w} gives an unmanageable support")
-    keys, counts = _squarefree_products(primes, math.ceil(y) - 1, level)
+    primes = primes_below(min(w, 98))
+    check_table(f"Brun weight primes below w={w}, counted up to 97",
+                len(primes), _MAX_SUPPORT_PRIMES)
+    top = math.ceil(y) - 1  # k < y
+    # the support holds at most top keys, and at most the subsets of the
+    # primes with up to `level` members
+    subsets = sum(math.comb(len(primes), r)
+                  for r in range(min(level, len(primes)) + 1))
+    check(f"Brun weight support at w={w}", min(top, subsets),
+          DEFAULT_SUPPORT_BUDGET)
+    keys, counts = _squarefree_products(primes, top, level)
     table = dict(zip(keys.tolist(), (1 - 2 * (counts % 2)).tolist()))
     return SieveWeights(w=w, y=y, parity=parity, level=level, table=table)
 

@@ -328,6 +328,17 @@ class TestRefusals:
                           "got inf"),
         "sieve-w-nan": ("sieve-check --w-grid nan",
                         "usage error: prime cutoff must be finite, got nan"),
+        # the telescoping support of w = 89 has 2^23 keys; every weight is
+        # built before any output
+        "sieve-support-budget": (
+            "sieve-check --n-max 100000 --w-grid 2,3,6,89,97 --y-grid 100,1e9",
+            "budget refusal: Brun weight support at w=89.0: requested size "
+            "8388608 exceeds budget 1048576 (override with BHLAB_BUDGET)"),
+        # refused before the primes below w are sieved
+        "sieve-w-past-97": (
+            "sieve-check --w-grid 1e8 --y-grid 1e300",
+            "budget refusal: Brun weight primes below w=100000000.0, counted "
+            "up to 97: requested size 25 exceeds the fixed limit 24"),
         "bv-X-0": ("bv --X 0 --Q 1", "usage error: "),
         "bv-X-1": ("bv --X 1 --Q 1", "usage error: bv requires X >= 2"),
         "bv-missing-Q": ("bv --X 100", "usage error: bv requires --Q"),
@@ -414,7 +425,8 @@ class TestRefusals:
         # the hint is given only where BHLAB_BUDGET lifts the limit
         assert ("BHLAB_BUDGET" in err) == (case in ("budget-env-not-int",
                                                     "progression-budget",
-                                                    "mc-sample-budget"))
+                                                    "mc-sample-budget",
+                                                    "sieve-support-budget"))
 
 
 def _grid(values):

@@ -63,6 +63,21 @@ def test_sieve_primes_called_only_in_arith():
     assert callers == {"arith"}
 
 
+def test_one_squarefree_support_builder():
+    # the sieve imports no itertools, and only _squarefree_products grows
+    # arrays by np.concatenate
+    tree = TREES["sieve"]
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert "itertools" not in imported
+    growers = {getattr(top, "name", "<module>") for top in tree.body
+               for node in ast.walk(top) if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "concatenate"}
+    assert growers == {"_squarefree_products"}
+
+
 def test_roots_count_mod_prime_called_only_in_poly():
     # products and sums over the primes below z take local_root_counts
     callers = {module for module, tree in TREES.items()

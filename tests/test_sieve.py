@@ -1,12 +1,15 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bhlab.arith import mobius, primes_below, primorial
-from bhlab.budgets import MAX_TABLE, LimitError
+from bhlab.budgets import (DEFAULT_SUPPORT_BUDGET, MAX_TABLE, BudgetError,
+                           LimitError)
 from bhlab.poly import IntPolynomial
 from bhlab.sieve import (SandwichReport, build_brun_weights, density_product,
                          neutralised_bounds, sandwich_check, sieve_sum,
@@ -438,3 +441,114 @@ class TestSandwichKernels:
             tracemalloc.stop()
         assert rep == SandwichReport(MAX_TABLE, 0, None)
         assert peak < 2 << 20
+
+
+def combinations_table(w, y, level):
+    """Reference: the Brun weight table enumerated level by level with
+    itertools.combinations."""
+    primes = primes_below(w)
+    table = {1: 1}
+    for r in range(1, min(level, len(primes)) + 1):
+        sign = -1 if r % 2 else 1
+        for combo in itertools.combinations(primes, r):
+            k = math.prod(combo)
+            if k < y:
+                table[k] = sign
+    return table
+
+
+class TestSupportBuilder:
+    @pytest.mark.parametrize("w,y,parity,level", [
+        (2, 100, "upper", None),  # no primes below 2
+        (2, 100, "lower", 1),
+        (30, 1e3, "upper", 4),  # the y cut removes part of levels 2 to 4
+        (30, 1e3, "lower", 5),
+        (97, 1e9, "upper", None),
+        (97, 1e9, "lower", None),
+        # telescoping: the primes below 59 multiply to 3.3e19, past int64
+        (59, 59.0**26, "upper", None),
+        (61, 61.0**26, "upper", None),
+    ])
+    def test_equals_combinations(self, w, y, parity, level):
+        weights = build_brun_weights(w, y, parity, level)
+        assert weights.table == combinations_table(w, y, weights.level)
+        assert list(weights.table) == sorted(weights.table)
+
+    def test_random_points_equal_combinations(self, rng):
+        partial = 0
+        for _ in range(60):
+            w = float(rng.uniform(2, 50))
+            y = float(10 ** rng.uniform(0.31, 9))
+            parity = str(rng.choice(["upper", "lower"]))
+            level = None
+            if rng.random() < 0.5:
+                level = 2 * int(rng.integers(0, 5)) + (parity == "lower")
+            try:
+                weights = build_brun_weights(w, y, parity, level)
+            except ValueError:  # no odd level fits y <= w
+                continue
+            want = combinations_table(w, y, weights.level)
+            assert weights.table == want, (w, y, parity, level)
+            partial += len(want) < len(combinations_table(w, math.inf,
+                                                          weights.level))
+        assert partial > 10
+
+
+class TestTruncationLevelAtExactPowers:
+    def test_named_examples(self):
+        assert truncation_level(10, 1e3, "lower") == 3
+        assert truncation_level(3, 243, "lower") == 5
+
+    def test_every_power_up_to_1e300(self):
+        # floor(log(y) / log(w)) falls just below m at many y = w**m; the
+        # float y = float(w**m) may also round below w**m
+        for w in range(2, 100):
+            m = 1
+            while w ** m <= 1e300:
+                for y in (w ** m, float(w ** m)):
+                    cap = m if w ** m <= Fraction(y) else m - 1
+                    assert truncation_level(w, y, "upper") == cap - cap % 2
+                    assert truncation_level(w, y, "lower") == (
+                        cap if cap % 2 else cap - 1), (w, m, y)
+                m += 1
+
+
+class TestSupportRefusals:
+    # 89 is the 24th prime and 97 the 25th
+    @pytest.mark.parametrize("w", [97.5, 98, 1e8, 1e15])
+    def test_past_24_primes_refused_before_the_sieve(self, w):
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitError) as info:
+                build_brun_weights(w, 1e300, "lower")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            f"Brun weight primes below w={w}, counted up to 97: requested "
+            "size 25 exceeds the fixed limit 24")
+        assert peak < 1 << 20
+
+    def test_support_budget(self, monkeypatch):
+        monkeypatch.delenv("BHLAB_BUDGET", raising=False)
+        with pytest.raises(BudgetError) as info:
+            build_brun_weights(89, 89.0 ** 26, "upper")
+        assert (info.value.requested, info.value.budget) == (
+            2**23, DEFAULT_SUPPORT_BUDGET)
+        monkeypatch.setenv("BHLAB_BUDGET", "1023")
+        with pytest.raises(BudgetError, match="Brun weight support at w=30: "
+                           "requested size 1024 exceeds budget 1023"):
+            build_brun_weights(30, 30.0 ** 26, "upper")
+        monkeypatch.setenv("BHLAB_BUDGET", "1024")
+        assert len(build_brun_weights(30, 30.0 ** 26, "upper").table) == 1024
+
+    def test_y_cut_bounds_the_support(self, monkeypatch):
+        # level 24 over 24 primes, but only the ceil(y) - 1 = 99 keys below
+        # y = 100 can be kept
+        monkeypatch.setenv("BHLAB_BUDGET", "99")
+        weights = build_brun_weights(97, 100, "upper", level=24)
+        assert weights.table == {k: mobius(k) for k in range(1, 97)
+                                 if mobius(k)}
+        monkeypatch.setenv("BHLAB_BUDGET", "98")
+        with pytest.raises(BudgetError, match="requested size 99 "):
+            build_brun_weights(97, 100, "upper", level=24)
