@@ -15,8 +15,9 @@ w, y = 12.0, 1e3
 lower = build_brun_weights(w, y, "lower")
 upper = build_brun_weights(w, y, "upper")
 print(f"w = {w}, y = {y}")
-print(f"lower weights (level {lower.level}): {lower.table}")
-print(f"upper weights (level {upper.level}): {upper.table}")
+for weights in (lower, upper):
+    table = {k: weights.table[k] for k in weights.support}
+    print(f"{weights.parity} weights (level {weights.level}): {table}")
 
 rep = sandwich_check(lower, upper, 10**5)
 print(f"sandwich over n <= 1e5: {rep.violations} violations")

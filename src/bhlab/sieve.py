@@ -115,8 +115,9 @@ def build_brun_weights(w, y, parity, level=None):
 
 
 def _squarefree_products(primes, top, most):
-    """Ascending products k <= top of at most `most` distinct primes, and
-    their prime counts: int64 keys below 2**63, Python ints past that."""
+    """Products k <= top of at most `most` distinct primes, and their prime
+    counts, in growth order: ascending by the bit mask of their primes, bit
+    i for primes[i].  Keys are int64 below 2**63, Python ints past that."""
     big = min(top, math.prod(primes)) >= 2**63
     keys = np.ones(1, dtype=object if big else np.int64)
     counts = np.zeros(1, dtype=np.int64)
@@ -124,8 +125,7 @@ def _squarefree_products(primes, top, most):
         grow = (counts < most) & (keys <= top // p)
         keys = np.concatenate((keys, p * keys[grow]))
         counts = np.concatenate((counts, counts[grow] + 1))
-    order = keys.argsort()
-    return keys[order], counts[order]
+    return keys, counts
 
 
 class SandwichReport(NamedTuple):
@@ -159,7 +159,7 @@ def sandwich_check(lower, upper, n_max):
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     check_table("sandwich check arrays", n_max)
     primes = primes_below(lower.w)
-    kernels = _squarefree_products(primes, n_max, len(primes))[0]
+    kernels = np.sort(_squarefree_products(primes, n_max, len(primes))[0])
     lo, hi = sums = np.zeros((2, len(kernels)), dtype=np.int64)
     for row, weights in zip(sums, (lower, upper)):
         kept = {k: lam for k, lam in weights.table.items() if k <= n_max}

@@ -472,7 +472,11 @@ class TestSupportBuilder:
     def test_equals_combinations(self, w, y, parity, level):
         weights = build_brun_weights(w, y, parity, level)
         assert weights.table == combinations_table(w, y, weights.level)
-        assert list(weights.table) == sorted(weights.table)
+        # growth order: ascending by the bit mask of the primes in each key
+        primes = primes_below(w)
+        masks = [sum(1 << i for i, p in enumerate(primes) if k % p == 0)
+                 for k in weights.table]
+        assert masks == sorted(masks)
 
     def test_random_points_equal_combinations(self, rng):
         partial = 0
