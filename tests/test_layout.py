@@ -78,6 +78,19 @@ def test_one_squarefree_support_builder():
     assert growers == {"_squarefree_products"}
 
 
+def test_support_sorted_only_where_it_is_searched():
+    # a support keeps its growth order; only sandwich_check, which
+    # searches its kernels, sorts them, and nothing in the sieve argsorts
+    tree = TREES["sieve"]
+    calls = [(getattr(top, "name", "<module>"), node.func.attr)
+             for top in tree.body for node in ast.walk(top)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)]
+    assert [name for name, attr in calls if attr == "argsort"] == []
+    assert {name for name, attr in calls if attr == "sort"} == {
+        "sandwich_check"}
+
+
 def test_roots_count_mod_prime_called_only_in_poly():
     # products and sums over the primes below z take local_root_counts
     callers = {module for module, tree in TREES.items()

@@ -26,6 +26,19 @@ def per_prime_density_product(P, z, squared):
     return float(acc)
 
 
+def per_prime_weighted_sum(weights, density):
+    """Reference: the weighted sum over the support written out, one key
+    and one prime at a time."""
+    terms = []
+    for k in weights.support:
+        val = 1.0
+        for ell in primes_below(weights.w):
+            if k % ell == 0:
+                val *= density[ell]
+        terms.append(weights.table[k] * val)
+    return math.fsum(terms)
+
+
 def per_prime_bounds(P, z, lower, upper, squared):
     """Reference: neutralised_bounds counting roots per prime, with the
     weighted sum over the support written out."""
@@ -33,18 +46,8 @@ def per_prime_bounds(P, z, lower, upper, squared):
     for ell in primes_below(z):
         share = residue_scan(P.coeffs, ell) / ell
         fhat[ell] = 2 * share - share ** 2 if squared else share
-
-    def weighted(weights):
-        terms = []
-        for k in weights.support:
-            val = 1.0
-            for ell in primes_below(z):
-                if k % ell == 0:
-                    val *= fhat[ell]
-            terms.append(weights.table[k] * val)
-        return math.fsum(terms)
-
-    return weighted(lower), weighted(upper)
+    return (per_prime_weighted_sum(lower, fhat),
+            per_prime_weighted_sum(upper, fhat))
 
 
 DENSITIES = {
@@ -496,6 +499,39 @@ class TestSupportBuilder:
             partial += len(want) < len(combinations_table(w, math.inf,
                                                           weights.level))
         assert partial > 10
+
+
+class TestObjectKeys:
+    # the primes below 59 multiply to 3.3e19, so these telescoping supports
+    # hold Python-int keys past 2**63
+    @pytest.mark.parametrize("w", [59, 61])
+    def test_sieve_sum_equals_per_prime_loop(self, w):
+        weights = build_brun_weights(w, w ** 26.0, "upper")
+        assert max(weights.table) >= 2**63
+        for h in DENSITIES.values():
+            density = {ell: h(ell) for ell in primes_below(w)}
+            assert bits(sieve_sum(weights, h)) == bits(
+                per_prime_weighted_sum(weights, density))
+
+    @pytest.mark.parametrize("w,y", [(30, 1e5), (97, 1e9), (59, 59.0**26)])
+    def test_growth_order_equals_ascending_order(self, rng, w, y):
+        grown = [build_brun_weights(w, y, parity)
+                 for parity in ("lower", "upper")]
+        ascending = [replace(g, table=dict(sorted(g.table.items())))
+                     for g in grown]
+        assert all(list(g.table) != list(a.table)
+                   for g, a in zip(grown, ascending))
+        for g, a in zip(grown, ascending):
+            for h in DENSITIES.values():
+                assert bits(sieve_sum(g, h)) == bits(sieve_sum(a, h))
+        for i in range(3):
+            P = random_polynomial(rng, 1 + i, 30)
+            for squared in (True, False):
+                got = neutralised_bounds(P, w, *grown, squared=squared)
+                want = neutralised_bounds(P, w, *ascending, squared=squared)
+                assert [bits(v) for v in got] == [bits(v) for v in want]
+        assert sandwich_check(*grown, 10**4) == sandwich_check(*ascending,
+                                                               10**4)
 
 
 class TestTruncationLevelAtExactPowers:
