@@ -13,6 +13,7 @@ DEFAULT_RESIDUE_BUDGET = 10**7      # residue-polynomial enumerations (k^(d+1))
 DEFAULT_PROGRESSION_BUDGET = 10**6  # sieve limit X for progression error sums
 DEFAULT_ROOT_COUNT_BUDGET = 10**8   # about pi(z) d^2 log2(z): w_P(l), l < z
 DEFAULT_SUPPORT_BUDGET = 2**20      # keys of one Brun weight support
+DEFAULT_SCALAR_BUDGET = 10**7       # arguments m <= x of one scalar psi sum
 
 # Largest prime sieve, Lambda, totient or sandwich table any caller builds:
 # a fixed memory limit, not a budget, so BHLAB_BUDGET does not lift it.

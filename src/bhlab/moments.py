@@ -44,11 +44,14 @@ def lambda_terms(P, x, which="nonzero", from_one=True):
     (P(m) < 0, evaluated at -P(m)), "nonzero" (|P(m)|), or "prime" (P(m)
     prime, whose term is log P(m)).  from_one picks the range 1 <= m <= x;
     from_one=False starts at m = 2, the literal range of the absolute-value
-    sum.
+    sum.  More than DEFAULT_SCALAR_BUDGET arguments are refused before the
+    2^63 limit is looked for.
     """
     if which not in ("positive", "negative", "nonzero", "prime"):
         raise ValueError(f"unknown term selector {which!r}")
     start = 1 if from_one else 2
+    budgets.check("scalar sum arguments m <= x", int(x) - start + 1,
+                  budgets.DEFAULT_SCALAR_BUDGET)
     if value_bound(P.degree, P.height, x) >= VON_MANGOLDT_LIMIT:
         _refuse_past_limit(P, int(x), which, start)
     terms = []

@@ -11,7 +11,7 @@ import pytest
 from bhlab.arith import (chebyshev_psi, euler_phi, is_prime_u64,
                          von_mangoldt, von_mangoldt_table)
 from bhlab import moments
-from bhlab.budgets import BudgetError
+from bhlab.budgets import DEFAULT_SCALAR_BUDGET, BudgetError
 from bhlab.eulerprod import truncated_bh_constant
 from bhlab.moments import (ap_error, bv_average, diagonal_term, lambda_terms,
                            negative_part, nondiagonal_term, psi, psi_abs,
@@ -976,3 +976,39 @@ class TestPastTheLambdaLimit:
         Q = IntPolynomial((-(2**62), 2**60))  # value_bound(1, 2^62, 2) = 2^64
         psi(Q, 2)
         assert scans == [(Q, 2, "positive", 1)]
+
+
+class TestScalarBudget:
+    @pytest.mark.parametrize("fn", [psi, psi_abs, negative_part, theta])
+    def test_refused_before_any_term(self, monkeypatch, fn):
+        monkeypatch.delenv("BHLAB_BUDGET", raising=False)
+        calls = []
+        monkeypatch.setattr(moments, "eval_poly",
+                            lambda *args: calls.append(args) or 1)
+        with pytest.raises(BudgetError) as exc:
+            fn(IntPolynomial((1, 1)), 10**9)
+        assert exc.value.budget == DEFAULT_SCALAR_BUDGET
+        assert exc.value.requested in (10**9, 10**9 - 1)
+        assert calls == []
+
+    def test_checked_before_the_2_63_scan(self, monkeypatch):
+        # x = 3e6 meets 2^63 + 1 at m = 2^21; under a budget of 10^6
+        # arguments the budget refuses first
+        monkeypatch.setenv("BHLAB_BUDGET", str(10**6))
+        with pytest.raises(BudgetError, match="scalar sum arguments m <= x: "
+                           "requested size 3000000 exceeds budget 1000000"):
+            psi(IntPolynomial((1, 0, 0, 1)), 3_000_000)
+
+    def test_counts_the_arguments_of_the_range(self, monkeypatch):
+        # 1 <= m <= 100 is 100 arguments, 1 < m <= 100 is 99
+        P = IntPolynomial((1, 1))
+        monkeypatch.setenv("BHLAB_BUDGET", "99")
+        assert psi_abs(P, 100) == math.fsum(
+            von_mangoldt(m + 1) for m in range(2, 101))
+        with pytest.raises(BudgetError, match="requested size 100 "):
+            psi(P, 100)
+        with pytest.raises(BudgetError, match="requested size 100 "):
+            psi_abs(P, 100, from_one=True)
+        monkeypatch.setenv("BHLAB_BUDGET", "100")
+        assert psi(P, 100) == math.fsum(
+            von_mangoldt(m + 1) for m in range(1, 101))
