@@ -225,7 +225,8 @@ def _moment_rows(args):
         moments.check_moment_point(spec, x, z, args.center)
     if args.out:  # refused before any point runs; a file made here goes
         created = not os.path.lexists(args.out)
-        if created or os.path.isfile(args.out):  # a FIFO would block
+        # open() refuses a directory up front; a FIFO would block
+        if created or os.path.isfile(args.out) or os.path.isdir(args.out):
             open(args.out, "a").close()
         if created:
             os.remove(args.out)

@@ -155,6 +155,20 @@ class TestMoment:
         assert out == ""
         assert err.startswith(want)
 
+    def test_directory_out_refused_before_any_point(self, capsys,
+                                                    monkeypatch, tmp_path):
+        def ran(*args, **kwargs):
+            raise AssertionError("second_moment ran")
+
+        monkeypatch.setattr(moments, "second_moment", ran)
+        argv, want = TestRefusals.CASES["out-directory"]
+        code = exit_code(argv.format(tmp=tmp_path).split())
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"{want}: '{tmp_path}'\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         "moment --H 10 --x 3 --mode mc --samples 1000000000000",
         "moment --d 2 --H 50 --x 1000",  # the root-count tables
@@ -305,6 +319,8 @@ class TestRefusals:
                         "(choose from 'exhaustive', 'mc', 'montecarlo')"),
         "out-unwritable": ("moment --H 1 --x 1 --out {tmp}/no/out.csv",
                            "usage error: [Errno 2]"),
+        "out-directory": ("moment --H 1 --x 1 --out {tmp}",
+                          "usage error: [Errno 21] Is a directory"),
         "poly-leading-zero": ("psi --poly 1,0 --x 3",
                               "usage error: argument --poly"),
         "poly-not-integer": ("psi --poly 1,x --x 3",
@@ -346,6 +362,11 @@ class TestRefusals:
                             "usage error: Q must be <= isqrt(X) + 1 = 11"),
         "psi-past-2^63": ("psi --poly 1,0,0,0,0,1 --x 100000",
                           "usage error: von_mangoldt limited to n < 2^63"),
+        # refused before any argument is evaluated or scanned for 2^63
+        "psi-scalar-budget": (
+            "psi --poly 1,1 --x 1000000000",
+            "budget refusal: scalar sum arguments m <= x: requested size "
+            "1000000000 exceeds budget 10000000 (override with BHLAB_BUDGET)"),
         "budget-env-not-int": ("bv --X 100 --Q 3",
                                "usage error: BHLAB_BUDGET must be an integer"),
         "unknown-subcommand": ("frobnicate", "usage error: argument command"),
@@ -426,7 +447,8 @@ class TestRefusals:
         assert ("BHLAB_BUDGET" in err) == (case in ("budget-env-not-int",
                                                     "progression-budget",
                                                     "mc-sample-budget",
-                                                    "sieve-support-budget"))
+                                                    "sieve-support-budget",
+                                                    "psi-scalar-budget"))
 
 
 def _grid(values):
