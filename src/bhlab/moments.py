@@ -47,6 +47,12 @@ def lambda_terms(P, x, which="nonzero", from_one=True):
     sum.  More than DEFAULT_SCALAR_BUDGET arguments are refused before the
     2^63 limit is looked for.
     """
+    return list(_terms(P, x, which, from_one))
+
+
+def _terms(P, x, which, from_one):
+    """lambda_terms as a generator, so the exact fsum of a scalar sum holds
+    no list; its checks run at the first next(), before any term."""
     if which not in ("positive", "negative", "nonzero", "prime"):
         raise ValueError(f"unknown term selector {which!r}")
     start = 1 if from_one else 2
@@ -54,18 +60,16 @@ def lambda_terms(P, x, which="nonzero", from_one=True):
                   budgets.DEFAULT_SCALAR_BUDGET)
     if value_bound(P.degree, P.height, x) >= VON_MANGOLDT_LIMIT:
         _refuse_past_limit(P, int(x), which, start)
-    terms = []
     for m in range(start, int(x) + 1):
         v = eval_poly(P, m)
         if which == "positive" and v > 0:
-            terms.append(von_mangoldt(v))
+            yield von_mangoldt(v)
         elif which == "negative" and v < 0:
-            terms.append(von_mangoldt(-v))
+            yield von_mangoldt(-v)
         elif which == "nonzero" and v != 0:
-            terms.append(von_mangoldt(abs(v)))
+            yield von_mangoldt(abs(v))
         elif which == "prime" and v > 1 and is_prime_u64(v):
-            terms.append(math.log(v))
-    return terms
+            yield math.log(v)
 
 
 def _refuse_past_limit(P, x, which, start):
@@ -89,7 +93,7 @@ def _refuse_past_limit(P, x, which, start):
 
 def psi(P, x):
     """Sum of Lambda(P(n)) over 1 <= n <= x with P(n) > 0."""
-    return math.fsum(lambda_terms(P, x, "positive"))
+    return math.fsum(_terms(P, x, "positive", True))
 
 
 def psi_abs(P, x, from_one=False):
@@ -98,17 +102,17 @@ def psi_abs(P, x, from_one=False):
     The default range is 1 < m <= x (the literal displayed one); pass
     from_one=True for the 1 <= m <= x variant.
     """
-    return math.fsum(lambda_terms(P, x, "nonzero", from_one=from_one))
+    return math.fsum(_terms(P, x, "nonzero", from_one))
 
 
 def negative_part(P, x):
     """Sum of Lambda(-P(m)) over 1 <= m <= x with P(m) < 0."""
-    return math.fsum(lambda_terms(P, x, "negative"))
+    return math.fsum(_terms(P, x, "negative", True))
 
 
 def theta(P, x):
     """Sum of log P(n) over 1 <= n <= x with P(n) prime."""
-    return math.fsum(lambda_terms(P, x, "prime"))
+    return math.fsum(_terms(P, x, "prime", True))
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +147,17 @@ def ap_error(X, q, b, table=None):
 def bv_average(X, Q, table=None):
     """Sum over q <= Q of the worst progression error max_{Y<=X} max_b |E|.
 
-    The inner maximum runs over integer Y <= X and unit classes b mod q.
-    Between consecutive progression members the error is linear in Y, so it
-    is scanned exactly at the members and the points just before them.
+    The inner maximum runs over integer Y <= X and unit classes b mod q of
+    E(Y) = psi(Y; q, b) - Y/phi(q).  Only the support of Lambda is read: per
+    q its points are sorted by class into zero-padded rows, one cumsum each.
+    E jumps at prime powers and falls in between, so |E| peaks at one of
+    four kinds of point: a prime power n of a unit class, the point n - 1
+    before it, the class's tail at X, and its first member b when b is not
+    a prime power; that last one, b/phi(q), never exceeds the point before
+    the class's first prime power or, with none, its tail, so it is not
+    evaluated.  The maximum equals a scan of every member bit for bit:
+    np.cumsum adds left to right and adding 0.0 changes nothing, and with a
+    fixed sum C the float C - n/phi(q) is monotone in n.
     """
     if X < 1 or Q < 1:
         raise ValueError("X and Q must be >= 1")
@@ -158,23 +170,27 @@ def bv_average(X, Q, table=None):
                       budgets.DEFAULT_PROGRESSION_BUDGET)
         table = von_mangoldt_table(X)
     check_lambda_table(table, X)
+    support = np.flatnonzero(table[1 : X + 1]) + 1
+    values = table[support]
     out = []
     for q in range(1, Q + 1):
         phi_q = euler_phi(q)
-        worst = 0.0
-        # the unit classes b in 1..q (b = q is the one class of q = 1); each
-        # has a member b <= isqrt(X) <= X, since q <= isqrt(X) + 1
-        for b in (b for b in range(1, q + 1) if math.gcd(b, q) == 1):
-            ns = np.arange(b, X + 1, q, dtype=np.int64)
-            cs = np.cumsum(table[b : X + 1 : q])
-            at_member = np.abs(cs - ns / phi_q)
-            before = np.abs(np.concatenate(([0.0], cs[:-1])) - (ns - 1) / phi_q)
-            if ns[0] == 1:
-                before[0] = 0.0  # no Y >= 1 precedes the first member
-            tail = abs(cs[-1] - X / phi_q)
-            worst = max(worst, float(at_member.max()),
-                        float(before.max()), tail)
-        out.append(worst)
+        unit = np.gcd(np.arange(q), q) == 1  # class 0 is the unit of q = 1
+        keys = (support % q).astype(np.min_scalar_type(q))  # a radix sort
+        order = np.argsort(keys, kind="stable")
+        keys, ns = keys[order], support[order]
+        counts = np.bincount(keys, minlength=q)
+        width = int(counts.max()) + 1  # column 0 of each row stays 0.0
+        row_at = np.arange(1, q * width, width) - (np.cumsum(counts) - counts)
+        at = np.arange(ns.size) + row_at[keys]
+        cs = np.zeros(q * width)
+        cs[at] = values[order]
+        cs = np.cumsum(cs.reshape(q, width), axis=1).ravel()
+        at, ns = at[unit[keys]], ns[unit[keys]]
+        out.append(max(
+            float(np.abs(cs[at] - ns / phi_q).max(initial=0.0)),
+            float(np.abs(cs[at - 1] - (ns - 1) / phi_q).max(initial=0.0)),
+            float(np.abs(cs[width - 1 :: width][unit] - X / phi_q).max())))
     return math.fsum(out)
 
 

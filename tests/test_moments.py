@@ -122,6 +122,27 @@ def naive_bv(X, Q, table):
     return total
 
 
+def dense_scan_bv(X, Q, table):
+    """Reference: bv_average as a scan of every member of every unit class,
+    one cumsum per class (the form before it read only the support)."""
+    out = []
+    for q in range(1, Q + 1):
+        phi_q = euler_phi(q)
+        worst = 0.0
+        for b in (b for b in range(1, q + 1) if math.gcd(b, q) == 1):
+            ns = np.arange(b, X + 1, q, dtype=np.int64)
+            cs = np.cumsum(table[b : X + 1 : q])
+            at_member = np.abs(cs - ns / phi_q)
+            before = np.abs(np.concatenate(([0.0], cs[:-1])) - (ns - 1) / phi_q)
+            if ns[0] == 1:
+                before[0] = 0.0  # no Y >= 1 precedes the first member
+            tail = abs(cs[-1] - X / phi_q)
+            worst = max(worst, float(at_member.max()),
+                        float(before.max()), tail)
+        out.append(worst)
+    return math.fsum(out)
+
+
 class TestBvAverage:
     def test_single_modulus(self, lam_table_1e6):
         want = max(abs(chebyshev_psi(Y, table=lam_table_1e6) - Y)
@@ -163,6 +184,36 @@ class TestBvAverage:
                             float(before.max()), abs(cs[-1] - X / phi_q))
             out.append(worst)
         assert bv_average(X, Q, table=table) == math.fsum(out)
+
+    def test_equals_dense_scan(self, lam_table_1e6, rng):
+        # X <= 10 has classes with no prime power; Q = isqrt(X) + 1 has
+        # X < q^2; q = 1 is the one class 0
+        cases = [(X, Q) for X in range(1, 11)
+                 for Q in range(1, math.isqrt(X) + 2)]
+        for X in rng.integers(11, 20000, size=12):
+            top = math.isqrt(int(X)) + 1
+            cases += [(int(X), Q) for Q in
+                      {1, 2, int(rng.integers(1, top + 1)), top}]
+        for X, Q in cases:
+            assert bv_average(X, Q, table=lam_table_1e6) == dense_scan_bv(
+                X, Q, lam_table_1e6), (X, Q)
+
+    @pytest.mark.parametrize("X,Q", [(10, 4), (1000, 32), (4999, 71)])
+    def test_reads_no_entry_past_X(self, X, Q):
+        table = von_mangoldt_table(X)
+        longer = np.concatenate((table, np.full(50, 7.0)))
+        assert bv_average(X, Q, table=longer) == dense_scan_bv(X, Q, table)
+
+    def test_traced_peak_is_support_scale(self, lam_table_1e6):
+        # the scan of every member peaked at 45.8 MiB, the support form
+        # at 7.6 MiB: 78,498 prime powers, not 10^6 entries
+        tracemalloc.start()
+        try:
+            bv_average(10**6, 100, table=lam_table_1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_moduli_outside_the_range_are_bad_input(self):
         # Q <= isqrt(X) + 1 is the statement's range, not a budget
@@ -891,13 +942,30 @@ def bv_with_empty_class_branch(X, Q, table):
 
 
 class TestOneMLoop:
-    def test_theta_equals_its_own_loop(self, rng):
+    @staticmethod
+    def polys(rng):
         polys = [IntPolynomial(c) for c in [(1, 0, 1), (-3, 0, 1), (0, 1, 1),
                                             (-7, 2, 1), (1,), (2,), (5, 1)]]
-        polys += [random_polynomial(rng, 1 + i % 3, 20) for i in range(30)]
-        for P in polys:
+        return polys + [random_polynomial(rng, 1 + i % 3, 20)
+                        for i in range(30)]
+
+    def test_theta_equals_its_own_loop(self, rng):
+        for P in self.polys(rng):
             for x in (0, 1, 7, 300):
                 assert theta(P, x) == theta_loop(P, x), (P, x)
+
+    def test_sums_equal_fsum_of_lambda_terms(self, rng):
+        # the sums add the terms lazily; fsum is exact, so bit for bit
+        for P in self.polys(rng):
+            for x in (0, 1, 7, 300):
+                for got, which, from_one in [
+                        (psi(P, x), "positive", True),
+                        (psi_abs(P, x), "nonzero", False),
+                        (psi_abs(P, x, from_one=True), "nonzero", True),
+                        (negative_part(P, x), "negative", True),
+                        (theta(P, x), "prime", True)]:
+                    assert got == math.fsum(
+                        lambda_terms(P, x, which, from_one)), (P, x, which)
 
     def test_prime_selector_keeps_log_of_prime_values(self):
         P = IntPolynomial((1, 0, 1))  # values 2, 5, 10, 17, 26
@@ -937,6 +1005,7 @@ class TestPastTheLambdaLimit:
         ((1, 0, 0, 1), psi_abs, "lambda"),
         ((-1, 0, 0, -1), negative_part, "lambda"),
         ((1, 0, 0, 1), theta, "prime"),
+        ((1, 0, 0, 1), lambda_terms, "lambda"),
     ])
     def test_refused_before_any_term(self, monkeypatch, coeffs, fn, kind):
         # P(2^21) = +-(2^63 + 1) is the first argument past the limit
@@ -979,7 +1048,8 @@ class TestPastTheLambdaLimit:
 
 
 class TestScalarBudget:
-    @pytest.mark.parametrize("fn", [psi, psi_abs, negative_part, theta])
+    @pytest.mark.parametrize("fn", [psi, psi_abs, negative_part, theta,
+                                    lambda_terms])
     def test_refused_before_any_term(self, monkeypatch, fn):
         monkeypatch.delenv("BHLAB_BUDGET", raising=False)
 
@@ -1013,3 +1083,14 @@ class TestScalarBudget:
         monkeypatch.setenv("BHLAB_BUDGET", "100")
         assert psi(P, 100) == math.fsum(
             von_mangoldt(m + 1) for m in range(1, 101))
+
+    def test_sum_holds_no_list_of_terms(self):
+        # a list of the 20000 terms peaked at 229 KiB traced, the
+        # generator at 8 KiB
+        tracemalloc.start()
+        try:
+            psi(IntPolynomial((1, 1)), 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
