@@ -50,7 +50,7 @@ def lambda_terms(P, x, which="nonzero", from_one=True):
     return list(_terms(P, x, which, from_one))
 
 
-def _terms(P, x, which, from_one):
+def _terms(P, x, which, from_one=True):
     """lambda_terms as a generator, so the exact fsum of a scalar sum holds
     no list; its checks run at the first next(), before any term."""
     if which not in ("positive", "negative", "nonzero", "prime"):
@@ -93,7 +93,7 @@ def _refuse_past_limit(P, x, which, start):
 
 def psi(P, x):
     """Sum of Lambda(P(n)) over 1 <= n <= x with P(n) > 0."""
-    return math.fsum(_terms(P, x, "positive", True))
+    return math.fsum(_terms(P, x, "positive"))
 
 
 def psi_abs(P, x, from_one=False):
@@ -107,12 +107,12 @@ def psi_abs(P, x, from_one=False):
 
 def negative_part(P, x):
     """Sum of Lambda(-P(m)) over 1 <= m <= x with P(m) < 0."""
-    return math.fsum(_terms(P, x, "negative", True))
+    return math.fsum(_terms(P, x, "negative"))
 
 
 def theta(P, x):
     """Sum of log P(n) over 1 <= n <= x with P(n) prime."""
-    return math.fsum(_terms(P, x, "prime", True))
+    return math.fsum(_terms(P, x, "prime"))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,8 @@ def bv_average(X, Q, table=None):
         cs = np.zeros(q * width)
         cs[at] = values[order]
         cs = np.cumsum(cs.reshape(q, width), axis=1).ravel()
-        at, ns = at[unit[keys]], ns[unit[keys]]
+        keep = unit[keys]
+        at, ns = at[keep], ns[keep]
         out.append(max(
             float(np.abs(cs[at] - ns / phi_q).max(initial=0.0)),
             float(np.abs(cs[at - 1] - (ns - 1) / phi_q).max(initial=0.0)),

@@ -942,21 +942,20 @@ def bv_with_empty_class_branch(X, Q, table):
 
 
 class TestOneMLoop:
-    @staticmethod
-    def polys(rng):
+    def test_theta_equals_its_own_loop(self, rng):
         polys = [IntPolynomial(c) for c in [(1, 0, 1), (-3, 0, 1), (0, 1, 1),
                                             (-7, 2, 1), (1,), (2,), (5, 1)]]
-        return polys + [random_polynomial(rng, 1 + i % 3, 20)
-                        for i in range(30)]
-
-    def test_theta_equals_its_own_loop(self, rng):
-        for P in self.polys(rng):
+        polys += [random_polynomial(rng, 1 + i % 3, 20) for i in range(30)]
+        for P in polys:
             for x in (0, 1, 7, 300):
                 assert theta(P, x) == theta_loop(P, x), (P, x)
 
     def test_sums_equal_fsum_of_lambda_terms(self, rng):
         # the sums add the terms lazily; fsum is exact, so bit for bit
-        for P in self.polys(rng):
+        polys = [IntPolynomial(c) for c in [(1, 0, 1), (-3, 0, 1), (0, 1, 1),
+                                            (-7, 2, 1), (1,), (2,), (5, 1)]]
+        polys += [random_polynomial(rng, 1 + i % 3, 20) for i in range(30)]
+        for P in polys:
             for x in (0, 1, 7, 300):
                 for got, which, from_one in [
                         (psi(P, x), "positive", True),
