@@ -23,7 +23,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # and callers must stay below this.
 VON_MANGOLDT_LIMIT = 2**63
 
-# Primes per math.log batch in the CompactLambda build.
+# Primes per math.log batch, in the CompactLambda scan and in unpack: the
+# batch's Python floats are alive at once, so no pass holds one per prime.
 _LOG_CHUNK = 1 << 12
 
 # Odd numbers per segment of the prime sieve (a multiple of 8, so segments
@@ -242,12 +243,22 @@ def _math_logs(ints):
                        count=len(ints))
 
 
+def _log_batches(primes):
+    """Yield (chunk, _math_logs(chunk)) over the int64 array primes, one
+    chunk of _LOG_CHUNK entries at a time."""
+    for i in range(0, len(primes), _LOG_CHUNK):
+        chunk = primes[i : i + _LOG_CHUNK]
+        yield chunk, _math_logs(chunk)
+
+
 def von_mangoldt_table(limit):
     """numpy array L with L[n] = Lambda(n) for 0 <= n <= limit.
 
-    CompactLambda(limit) unpacked: np.log on its bitset's odd primes, then
-    its patch array on top, so the two are equal bit for bit by
-    construction.  The prime sieve's fixed limit is checked first.
+    CompactLambda(limit) unpacked: math.log on its bitset's odd primes, in
+    _LOG_CHUNK batches, then its patch array on top, so every entry is
+    math.log(p) at a power of p.  The layer is built without the log scan,
+    which only a gather uses.  The prime sieve's fixed limit is checked
+    first.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
@@ -263,34 +274,38 @@ class CompactLambda:
     L[values]: math.log(p) at each power of p, bit for bit.  The one Lambda
     fill; the dense von_mangoldt_table(limit) is this layer unpacked.
 
-    An odd-only prime bitset (bit (n - 1) / 2 for odd n) gives np.log(n) on
-    the odd primes.  A sorted patch array holds what that misses: every
-    prime power p**a <= limit with a >= 2, the powers of two (2 included),
-    and the primes where np.log differs from math.log, found while sieving
-    by comparing the two on every prime.  A gather tests the bit, takes
-    np.log on the hits only, and patches by searchsorted the values whose
-    low _FILTER_BITS bits match some patch value.
+    An odd-only prime bitset (bit (n - 1) / 2 for odd n) marks the odd
+    primes.  A sorted patch array holds every prime power p**a <= limit
+    with a >= 2 and the powers of two (2 included).  A gather tests the
+    bit, takes a log of the hits only, and patches by searchsorted the
+    values whose low _FILTER_BITS bits match some patch value.
+
+    The gather's log on the prime hits depends on reads, the number of
+    values the caller expects to gather.  Below limit the gather takes
+    math.log of its hits, which costs less than one math.log per prime.
+    At or past it the build scans every prime below limit for the few
+    where np.log differs from math.log (87 below 4e7) and adds them to the
+    patch array, and the gather takes np.log of its hits.  Either form
+    gives the same values.
     """
 
-    def __init__(self, limit):
+    def __init__(self, limit, reads=0):
         if limit < 0:
             raise ValueError("limit must be nonnegative")
         check_table("compact von Mangoldt table", limit, MAX_FAMILY_TABLE)
+        self.scanned = reads >= limit
         self.bits = np.zeros((limit >> 4) + 1, dtype=np.uint8)
         values, logs = [], []
         for lo, flags in _odd_prime_flags(limit):
             at = (lo - 1) // 16  # segments hold a multiple of 8 odd numbers
             packed = np.packbits(flags, bitorder="little")
             self.bits[at : at + len(packed)] = packed
-            primes = np.flatnonzero(flags)
-            primes *= 2
-            primes += lo
-            for i in range(0, len(primes), _LOG_CHUNK):
-                chunk = primes[i : i + _LOG_CHUNK]
-                exact = _math_logs(chunk)
-                odd = np.log(chunk) != exact
-                values += chunk[odd].tolist()
-                logs += exact[odd].tolist()
+            if self.scanned:
+                for chunk, exact in _log_batches(2 * np.flatnonzero(flags)
+                                                 + lo):
+                    odd = np.log(chunk) != exact
+                    values += chunk[odd].tolist()
+                    logs += exact[odd].tolist()
         for p in sieve_primes(max(math.isqrt(limit), 2)).tolist():
             q = p * p if p > 2 else p
             while q <= limit:
@@ -310,10 +325,13 @@ class CompactLambda:
 
     def unpack(self, out):
         """Write Lambda(n) to out[n] for 0 <= n <= limit, out being a
-        zero-filled float64 array (or slice) of limit + 1 entries."""
+        zero-filled float64 array (or slice) of limit + 1 entries: math.log
+        of each odd prime, _LOG_CHUNK primes at a time, then the patch
+        array."""
         odd = 2 * np.flatnonzero(np.unpackbits(self.bits, bitorder="little")
                                  [: (self.limit + 1) // 2]) + 1
-        out[odd] = np.log(odd)
+        for chunk, exact in _log_batches(odd):
+            out[chunk] = exact
         out[self.values[:-1]] = self.logs[:-1]
 
     def __getitem__(self, values):
@@ -328,7 +346,7 @@ class CompactLambda:
         del key
         hit = np.flatnonzero(prime)
         out = np.zeros(v.shape, dtype=np.float64)
-        out[hit] = np.log(v[hit])
+        out[hit] = (np.log if self.scanned else _math_logs)(v[hit])
         at = np.searchsorted(self.values, v[near])
         found = self.values[at] == v[near]
         out[near[found]] = self.logs[at[found]]

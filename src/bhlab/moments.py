@@ -658,11 +658,13 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     extended table or the compact layer, in tiles of at most 2**15 values
     (one row once x exceeds that), with Q(m) = sum_{j>=1} c_j m**j
     evaluated once per head (c1, ..., cd).  So each worker's temporaries
-    stay at a few MB.  Chunks run on `threads` threads (one per CPU at
-    most) and merge in traversal order, so the result does not depend on
-    `threads`.  Monte Carlo mode adds the standard error of the mean
-    direct term from the sample variance; for a mean this equals the
-    delete-one jackknife standard error.
+    stay at a few MB.  The compact layer expects visits * x reads, so a
+    run that reads fewer values than its bound skips the layer's log scan.
+    Chunks run on `threads` threads (one per CPU at most) and merge in
+    traversal order, so the result does not depend on `threads`.  Monte
+    Carlo mode adds the standard error of the mean direct term from the
+    sample variance; for a mean this equals the delete-one jackknife
+    standard error.
     """
     if abs_from_one and not use_abs:
         raise ValueError("abs_from_one requires use_abs")
@@ -673,7 +675,7 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     psi_kind = "abs_from_one" if abs_from_one else "abs" if use_abs else "psi"
     base = 2 * spec.H + 1 if spec.mode == "exhaustive" else None
     if bound > _DENSE_CUT:
-        lam_table = CompactLambda(bound)
+        lam_table = CompactLambda(bound, reads=spec.visit_count * x)
     elif base is None:
         lam_table = von_mangoldt_table(max(bound, 1))
     else:

@@ -237,10 +237,14 @@ def local_root_counts(P, z):
 
 def residue_key(coeffs, ell):
     """Mixed-radix index of coefficients (c0, ..., cd) reduced mod ell, c0
-    least significant; entries are ints or int64 columns (vectorised)."""
+    least significant; entries are ints or int64 columns (vectorised).
+
+    c mod ell is c - (c // ell) * ell: numpy's int64 floor division by a
+    scalar takes libdivide on a contiguous column (0.05 ms per 65,536
+    values), its % never does (0.58 ms)."""
     key = 0
     for c in reversed(coeffs):
-        key = key * ell + c % ell
+        key = key * ell + (c - c // ell * ell)
     return key
 
 
@@ -365,12 +369,14 @@ def _decode_exhaustive(spec, start, stop):
 
 
 def _draw_montecarlo(spec, chunk_index, count):
-    """Seeded coefficient rows for one Monte Carlo chunk."""
+    """Seeded coefficient rows for one Monte Carlo chunk, column-major, so
+    that each coefficient column, which residue_key reduces, is
+    contiguous."""
     d, H = spec.d, spec.H
     bitgen = np.random.Philox(key=spec.seed)
     bitgen.advance(chunk_index * _PHILOX_STRIDE)
     rng = np.random.Generator(bitgen)
-    out = np.empty((count, d + 1), dtype=np.int64)
+    out = np.empty((count, d + 1), dtype=np.int64, order="F")
     out[:, :d] = rng.integers(-H, H + 1, size=(count, d), dtype=np.int64)
     out[:, d] = rng.integers(1, H + 1, size=count, dtype=np.int64)
     return out

@@ -231,7 +231,7 @@ def test_criterion_13_moment_grows_linearly_in_log_H():
     # not the theorem's constant, which the paper's abstract does not give.
     ok = True
     slopes = []
-    for d, top in ((1, 6), (2, 5)):
+    for d, top in ((1, 6), (2, 6)):
         reps = [second_moment(FamilySpec(d=d, H=10**e, mode="montecarlo",
                                          sample_count=10**5, seed=1), 10, 10)
                 for e in range(3, top + 1)]

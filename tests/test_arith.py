@@ -242,12 +242,17 @@ class TestIntegerRoot:
 
 
 class TestCompactLambda:
+    # both forms: math.log on the gather's prime hits (reads below the
+    # limit) and np.log on them after the build's log scan (reads at it)
     @pytest.mark.parametrize("limit", COMPACT_LIMITS)
     def test_whole_range_bits_equal_the_dense_table(self, limit):
-        got = CompactLambda(limit)[np.arange(limit + 1, dtype=np.int64)]
         want = von_mangoldt_table(limit)
-        assert got.dtype == np.float64
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for reads, scanned in ((0, limit == 0), (limit, True)):
+            layer = CompactLambda(limit, reads=reads)
+            assert layer.scanned == scanned
+            got = layer[np.arange(limit + 1, dtype=np.int64)]
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_gather_keeps_the_shape(self, rng):
         limit = 10**6
@@ -257,17 +262,40 @@ class TestCompactLambda:
         assert np.array_equal(got, von_mangoldt_table(limit)[values])
 
     def test_patches_hold_powers_and_log_exceptions(self):
+        # without the scan the patch array is exactly the p**a with a >= 2
+        # and the powers of two; the scan adds exactly the odd primes where
+        # np.log differs from math.log
         limit = 10**6
-        layer = CompactLambda(limit)
-        patched = layer.values[:-1]
-        assert np.all(np.diff(patched) > 0)
-        table = von_mangoldt_table(limit)
+        table = per_prime_log_table(limit)
         primes = sieve_primes(limit)
-        powers = np.setdiff1d(np.flatnonzero(table), primes)
-        assert np.all(np.isin(np.append(powers, 2), patched))
-        assert np.array_equal(layer.logs[:-1], table[patched])
-        odd_primes = patched[np.isin(patched, primes) & (patched > 2)]
-        assert np.all(np.log(odd_primes) != table[odd_primes])
+        powers = np.union1d(np.setdiff1d(np.flatnonzero(table), primes), [2])
+        assert np.array_equal(powers[:20], [2, 4, 8, 9, 16, 25, 27, 32, 49,
+                                            64, 81, 121, 125, 128, 169, 243,
+                                            256, 289, 343, 361])
+        odd = primes[1:]
+        exact = np.array([math.log(p) for p in odd.tolist()])
+        exceptions = odd[np.log(odd) != exact]
+        assert len(exceptions) == 7
+        for reads, want in ((limit - 1, powers),
+                            (limit, np.union1d(powers, exceptions))):
+            layer = CompactLambda(limit, reads=reads)
+            assert np.array_equal(layer.values[:-1], want)
+            assert layer.values[-1] == np.iinfo(np.int64).max
+            assert np.array_equal(layer.logs[:-1].view(np.uint64),
+                                  table[want].view(np.uint64))
+
+    # the dense table is 32 MiB; unpack takes math.log of the 295,946 odd
+    # primes in batches (one whole-array pass holds a Python float and int
+    # per prime, about 10 MiB more)
+    def test_unpacked_table_memory_is_the_dense_table(self):
+        limit = 2**22
+        tracemalloc.start()
+        try:
+            von_mangoldt_table(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (limit + 1) + 8 * 2**20
 
     def test_size_is_a_sixteenth_byte_per_integer(self):
         layer = CompactLambda(10**7)

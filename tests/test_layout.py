@@ -182,3 +182,23 @@ def test_no_budget_getters():
               if isinstance(node, ast.Call) and _calls_a_budget_getter(node)]
     assert defined == []
     assert called == []
+
+
+def test_series_key_reduces_contiguous_columns_by_floor_division():
+    # numpy's int64 floor division by a scalar takes libdivide on a
+    # contiguous column, its % never does and a strided column never does:
+    # residue_key reduces without %, and the Monte Carlo rows it reduces
+    # by column are allocated column-major
+    def function(name):
+        return next(node for node in ast.walk(TREES["poly"])
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+
+    mods = [node.lineno for node in ast.walk(function("residue_key"))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)]
+    assert mods == []
+    orders = [ast.unparse(keyword.value)
+              for node in ast.walk(function("_draw_montecarlo"))
+              if isinstance(node, ast.Call)
+              and ast.unparse(node.func) == "np.empty"
+              for keyword in node.keywords if keyword.arg == "order"]
+    assert orders == ["'F'"]

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from bhlab.arith import (chebyshev_psi, euler_phi, is_prime_u64,
-                         von_mangoldt, von_mangoldt_table)
-from bhlab import moments
+                         sieve_primes, von_mangoldt, von_mangoldt_table)
+from bhlab import arith, moments
 from bhlab.budgets import DEFAULT_SCALAR_BUDGET, BudgetError
 from bhlab.eulerprod import truncated_bh_constant
 from bhlab.moments import (ap_error, bv_average, diagonal_term, lambda_terms,
@@ -743,8 +743,9 @@ class TestCompactLayer:
         built = []
         for name in ("von_mangoldt_table", "CompactLambda"):
             real = getattr(moments, name)
-            monkeypatch.setattr(moments, name, lambda n, name=name, real=real:
-                                built.append(name) or real(n))
+            monkeypatch.setattr(moments, name,
+                                lambda *args, name=name, real=real, **kw:
+                                built.append(name) or real(*args, **kw))
         report = second_moment(spec, 2, 10)
         assert built == [{"dense": "von_mangoldt_table",
                           "compact": "CompactLambda"}[layer]]
@@ -823,6 +824,29 @@ class TestCompactLayer:
         two = second_moment(spec, 30, 30, threads=2)
         assert one.raw == two.raw
         assert one.mc_stderr == two.mc_stderr
+
+    # d = 1, H = 2, x = 1.1e6: the value bound 4.4e6 is past the cut; one
+    # Monte Carlo draw reads 1.1e6 values, the 10 exhaustive rows 1.1e7
+    @pytest.mark.parametrize("mode,scanned", [("montecarlo", False),
+                                              ("exhaustive", True)])
+    def test_log_scan_only_when_reads_reach_the_bound(self, monkeypatch,
+                                                      mode, scanned):
+        x = 1_100_000
+        bound = value_bound(1, 2, x)
+        assert bound > moments._DENSE_CUT
+        spec = FamilySpec(d=1, H=2, mode=mode, sample_count=1, seed=1)
+        assert (spec.visit_count * x >= bound) == scanned
+        layers, scans = [], []
+        real_layer, real_scan = moments.CompactLambda, arith._log_batches
+        monkeypatch.setattr(moments, "CompactLambda", lambda *args, **kw:
+                            layers.append(real_layer(*args, **kw))
+                            or layers[-1])
+        monkeypatch.setattr(arith, "_log_batches", lambda primes:
+                            scans.append(len(primes)) or real_scan(primes))
+        second_moment(spec, x, 3)
+        assert [layer.scanned for layer in layers] == [scanned]
+        # the scan takes every odd prime below the bound, or none
+        assert sum(scans) == (len(sieve_primes(bound)) - 1 if scanned else 0)
 
     def test_montecarlo_allocates_no_dense_table(self):
         # the value bound 4e7 took a 320 MB float64 table
