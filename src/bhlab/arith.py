@@ -282,11 +282,14 @@ class CompactLambda:
 
     The gather's log on the prime hits depends on reads, the number of
     values the caller expects to gather.  Below limit the gather takes
-    math.log of its hits, which costs less than one math.log per prime.
-    At or past it the build scans every prime below limit for the few
-    where np.log differs from math.log (87 below 4e7) and adds them to the
-    patch array, and the gather takes np.log of its hits.  Either form
-    gives the same values.
+    math.log of its hits.  At or past it the build scans every prime below
+    limit for the few where np.log differs from math.log (how many depends
+    on numpy's build and the CPU) and adds them to the patch array, and
+    the gather takes np.log of its hits.  Either form gives the same
+    values.  A hit's math.log costs about what the scan pays per prime,
+    and reads hit primes at about their density below limit, so the two
+    forms break even near limit reads (measured at 1.05 to 1.6 times
+    limit); the cut at limit leans to the scan.
     """
 
     def __init__(self, limit, reads=0):

@@ -264,7 +264,8 @@ class TestCompactLambda:
     def test_patches_hold_powers_and_log_exceptions(self):
         # without the scan the patch array is exactly the p**a with a >= 2
         # and the powers of two; the scan adds exactly the odd primes where
-        # np.log differs from math.log
+        # np.log differs from math.log (how many depends on numpy's build
+        # and the CPU, so the set is computed here, not counted)
         limit = 10**6
         table = per_prime_log_table(limit)
         primes = sieve_primes(limit)
@@ -275,7 +276,6 @@ class TestCompactLambda:
         odd = primes[1:]
         exact = np.array([math.log(p) for p in odd.tolist()])
         exceptions = odd[np.log(odd) != exact]
-        assert len(exceptions) == 7
         for reads, want in ((limit - 1, powers),
                             (limit, np.union1d(powers, exceptions))):
             layer = CompactLambda(limit, reads=reads)
