@@ -3,10 +3,11 @@ families: truncated singular series, Bonferroni sieve weights with
 neutralised sandwich bounds, exact residue-family identities, progression
 error terms, and the family second-moment decomposition."""
 
+# budgets comes first: it pins OpenBLAS to one thread before numpy loads
+from .budgets import BudgetError
 from .arith import (chebyshev_psi, euler_phi, is_prime_u64, mobius,
                     omega_distinct, phi_table, primorial, sieve_primes,
                     von_mangoldt, von_mangoldt_table)
-from .budgets import BudgetError
 from .eulerprod import (full_reference_product, nondiagonal_phi_sum,
                         reference_product, totient_ratio_sums,
                         truncated_bh_constant)

@@ -5,6 +5,7 @@ integers; the *_table functions build numpy tables for bulk work.  All
 logarithms are natural.
 """
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -14,9 +15,15 @@ import numpy as np
 
 from .budgets import MAX_FAMILY_TABLE, check_table
 
-# Deterministic Miller-Rabin witness set, valid for every n < 3.3 * 10^24
-# (in particular for all 64-bit inputs).
+# Deterministic Miller-Rabin witnesses: all twelve decide every
+# n < psi_12 = 3.18 * 10^23 (OEIS A014233), so every 64-bit input.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first k witnesses already decide every n < psi_k.  n below
+# _MR_BOUNDS[i] (psi_k for k = 1..7 and 9; psi_8 = psi_7) takes the first
+# _MR_COUNTS[i] of them, and n past the last bound all twelve.
+_MR_BOUNDS = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051)
+_MR_COUNTS = (1, 2, 3, 4, 5, 6, 7, 9, 12)
 
 # Documented range contract for von_mangoldt / is_prime_u64.  Python ints do
 # not overflow, but the scalar primality path is specified for 64-bit inputs
@@ -52,12 +59,19 @@ def is_prime_u64(n):
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    count = _MR_COUNTS[bisect.bisect_right(_MR_BOUNDS, n)]
+    return _strong_probable_prime(n, _MR_WITNESSES[:count])
+
+
+def _strong_probable_prime(n, bases):
+    """Whether odd n > 2 passes the strong probable-prime test to every one
+    of `bases`, none of which divides n."""
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

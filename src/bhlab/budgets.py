@@ -4,9 +4,17 @@ Every brute-force enumeration in the library is guarded by a budget so a
 typo'd parameter fails fast instead of running for hours.  check() applies
 BHLAB_BUDGET (a positive integer), which overrides every DEFAULT_* at once.
 A fixed size limit, which it does not lift, is refused with LimitError.
+
+Importing this module pins OpenBLAS to one thread unless
+OPENBLAS_NUM_THREADS is already set.  The package imports it first, before
+any module that loads numpy, so a bhlab process runs its main thread plus
+the workers --threads asks for and starts no BLAS pool; the library makes
+no BLAS call, so no result depends on that pool.
 """
 
 import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 DEFAULT_FAMILY_BUDGET = 10**8       # |Poly_d(H)| or Monte Carlo samples
 DEFAULT_RESIDUE_BUDGET = 10**7      # residue-polynomial enumerations (k^(d+1))

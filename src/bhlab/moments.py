@@ -219,7 +219,9 @@ def diagonal_term(N, H, table=None):
     check_lambda_table(table, top)
     ns = np.abs(np.arange(N - H, N + H + 1, dtype=np.int64))
     vals = table[ns]  # index 0 (the excluded c0 = -N) holds Lambda-table 0
-    value = float(np.dot(vals, vals))
+    # numpy's pairwise sum, not np.dot: a BLAS dot's bits depend on its
+    # thread count
+    value = float(np.square(vals, out=vals).sum())
     loglog = math.log(math.log(H)) if H > 3 else float("nan")
     deviation = (value - 2 * H * math.log(H)) / (H * loglog)
     return DiagonalTerm(value=value, deviation=deviation)

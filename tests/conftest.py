@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bhlab.arith import von_mangoldt_table
 from bhlab.poly import IntPolynomial
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +48,18 @@ def residue_scan(coeffs, ell):
     for c in reversed(coeffs):
         acc = (acc * r + c % ell) % ell
     return int(np.count_nonzero(acc == 0))
+
+
+def fresh_python(code, openblas_threads=None):
+    """Standard output of `code` run by a fresh interpreter that imports
+    bhlab from the source tree, with OPENBLAS_NUM_THREADS unset, or set to
+    openblas_threads.  This process has loaded bhlab, which set the
+    variable, so the child's environment drops it first."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(openblas_threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout

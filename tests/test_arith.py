@@ -1,9 +1,11 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from bhlab import arith
 from bhlab.budgets import MAX_FAMILY_TABLE, MAX_TABLE, LimitError
 from bhlab.arith import (CompactLambda, chebyshev_psi, euler_phi, factorize,
                          is_prime_u64, mobius, omega_distinct, phi_table,
@@ -333,6 +335,58 @@ class TestMillerRabin:
         # 3215031751 is a strong pseudoprime to bases 2, 3, 5, 7
         assert not is_prime_u64(3215031751)
         assert not is_prime_u64(3825123056546413051)
+
+    # psi_k (OEIS A014233), the least strong pseudoprime to each of the
+    # first k prime bases, for every psi_k below 2^63
+    PSI = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751,
+           5: 2152302898747, 6: 3474749660383, 7: 341550071728321,
+           8: 341550071728321, 9: 3825123056546413051,
+           10: 3825123056546413051, 11: 3825123056546413051}
+
+    @staticmethod
+    def every_witness(n):
+        """The untiered test: trial division by the twelve witnesses, then
+        the strong probable-prime test to all of them."""
+        for p in arith._MR_WITNESSES:
+            if n % p == 0:
+                return n == p
+        return arith._strong_probable_prime(n, arith._MR_WITNESSES)
+
+    @pytest.mark.parametrize("k", sorted(PSI))
+    def test_tier_bounds_are_refused(self, k):
+        # psi_k passes the first k bases, so it must be tested past them
+        psi = self.PSI[k]
+        assert arith._strong_probable_prime(psi, arith._MR_WITNESSES[:k])
+        assert not is_prime_u64(psi)
+
+    def test_tiers_agree_with_every_witness(self):
+        gen = random.Random(20251021)
+        # odd n of a random bit length, so every tier is drawn
+        ns = [gen.randrange(2, 1 << gen.randrange(2, 64)) | 1
+              for _ in range(20000)]
+        ns += [psi + step for psi in self.PSI.values()
+               for step in range(-64, 65)]
+        assert sum(map(is_prime_u64, ns)) > 500
+        assert [n for n in ns
+                if is_prime_u64(n) != self.every_witness(n)] == []
+
+    def test_carmichael_numbers(self):
+        carmichael = {n: [p for p, _ in factorize(n)] for n in (
+            561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
+            41041, 46657, 52633, 62745, 63973, 75361)}
+        # Chernick's (6k + 1)(12k + 1)(18k + 1) below 2^63, all three
+        # factors prime
+        top = round((2**63 / 1296) ** (1 / 3))
+        primes = set(sieve_primes(18 * top + 1).tolist())
+        for k in range(1, top + 1):
+            factors = [6 * k + 1, 12 * k + 1, 18 * k + 1]
+            if math.prod(factors) < 2**63 and primes.issuperset(factors):
+                carmichael[math.prod(factors)] = factors
+        assert len(carmichael) > 100
+        for n, factors in carmichael.items():
+            assert all((n - 1) % (p - 1) == 0 for p in factors)
+            assert not is_prime_u64(n)
+            assert not self.every_witness(n)
 
 
 class TestMultiplicativeFunctions:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from bhlab import identities, moments
 from bhlab.cli import main
 from bhlab.poly import _root_count_cost, local_root_counts
+from conftest import fresh_python
 
 
 def run(capsys, *argv):
@@ -639,3 +641,24 @@ class TestPsiPastTheLimit:
         assert err == ("usage error: von_mangoldt limited to n < 2^63, "
                        "got 9223372036854775809\n")
         assert calls == []
+
+
+class TestBlasThreads:
+    """Importing bhlab pins OpenBLAS to one thread before numpy loads, so a
+    process runs its main thread plus --threads workers and no BLAS pool."""
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="thread count read from /proc")
+    def test_import_starts_no_blas_pool(self):
+        out = fresh_python(
+            "import os, sys, bhlab\n"
+            "status = open('/proc/self/status').read().split('\\n')\n"
+            "print(*[line for line in status if line.startswith('Threads:')],"
+            " os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules)")
+        assert out.split() == ["Threads:", "1", "1", "True"]
+
+    def test_a_set_thread_count_is_kept(self):
+        out = fresh_python(
+            "import os, bhlab; print(os.environ['OPENBLAS_NUM_THREADS'])",
+            openblas_threads=2)
+        assert out == "2\n"

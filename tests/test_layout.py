@@ -6,6 +6,7 @@ root counts w_P(l) from poly alone.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bhlab"
@@ -145,7 +146,8 @@ def _called_name(call):
 
 
 def test_environment_read_only_in_budgets():
-    # BHLAB_BUDGET is applied by budgets.check alone
+    # budgets alone touches the environment: budgets.check applies
+    # BHLAB_BUDGET, and the module's import pins OPENBLAS_NUM_THREADS
     env = ("environ", "getenv")
     readers = {module for module, tree in TREES.items()
                for node in ast.walk(tree)
@@ -202,3 +204,40 @@ def test_series_key_reduces_contiguous_columns_by_floor_division():
               and ast.unparse(node.func) == "np.empty"
               for keyword in node.keywords if keyword.arg == "order"]
     assert orders == ["'F'"]
+
+
+# numpy's BLAS entry points, as attributes (np.dot, a.dot, np.linalg...) or
+# imported names
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum",
+              "linalg"}
+
+
+def test_no_blas_call():
+    # a BLAS result's bits can depend on its thread count; with no BLAS
+    # call, budgets' one-thread pin changes no result
+    offenders = [f"{module}:{node.lineno}" for module, tree in TREES.items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES
+                 or isinstance(node, ast.alias)
+                 and node.name.split(".")[-1] in BLAS_NAMES
+                 or isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.MatMult)]
+    assert offenders == []
+
+
+def test_blas_pin_runs_before_numpy_loads():
+    # the package's first import is budgets, whose import pins OpenBLAS to
+    # one thread, and budgets imports only standard modules, so numpy loads
+    # after the pin whichever bhlab module is imported first
+    first = next(node for node in TREES["__init__"].body
+                 if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert (type(first), first.level, first.module) == (
+        ast.ImportFrom, 1, "budgets")
+    imported = [alias.name for node in ast.walk(TREES["budgets"])
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += ["." * node.level + (node.module or "")
+                 for node in ast.walk(TREES["budgets"])
+                 if isinstance(node, ast.ImportFrom)]
+    assert imported
+    assert [name for name in imported
+            if name.split(".")[0] not in sys.stdlib_module_names] == []

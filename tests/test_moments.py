@@ -19,7 +19,7 @@ from bhlab.moments import (ap_error, bv_average, diagonal_term, lambda_terms,
 from bhlab.poly import (CHUNK_SIZE, FamilySpec, IntPolynomial,
                         coefficient_chunks, eval_poly, iter_family,
                         residue_key, root_count_table, value_bound)
-from conftest import random_polynomial
+from conftest import fresh_python, random_polynomial
 
 LOG2, LOG3, LOG5, LOG7 = (math.log(p) for p in (2, 3, 5, 7))
 
@@ -266,6 +266,13 @@ class TestDiagonalTerm:
     def test_trend_at_moderate_height(self):
         got = diagonal_term(0, 10**4)
         assert abs(got.deviation) <= 5
+
+    def test_value_does_not_depend_on_blas_threads(self):
+        # from 2H + 1 = 10001 values on, the bits of a BLAS dot product
+        # depended on the OpenBLAS thread count
+        code = ("from bhlab.moments import diagonal_term; "
+                "print(diagonal_term(0, 6000).value.hex())")
+        assert fresh_python(code, 1) == fresh_python(code, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
