@@ -27,8 +27,8 @@ DEFAULT_SCALAR_BUDGET = 10**7       # arguments m <= x of one scalar psi sum
 # a fixed memory limit, not a budget, so BHLAB_BUDGET does not lift it.
 MAX_TABLE = 2 * 10**8
 
-# The family moment's Lambda limit: past a size cut it takes the compact
-# layer (a prime bitset, 125 MB at this limit), not a dense table.
+# The family moment's Lambda limit.  Past its table cap of 2**25 entries,
+# or with fewer reads than its bound, it reads the compact layer (125 MB).
 MAX_FAMILY_TABLE = 2 * 10**9
 
 

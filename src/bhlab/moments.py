@@ -10,9 +10,9 @@ linear in the base-(2H + 1) digits of its index, so for each m the Lambda
 terms of a box of rows (whole lower digits, a run of the next) are one
 strided view of a Lambda table extended below 0; the views are summed
 over m in the order numpy sums a row, and the singular series comes from
-one factor per (head, c0 mod l).  Monte Carlo rows, small chunks and
-tables past the dense cut are gathered per value, in tiles of a fixed
-size.  Either way memory does not grow with x.
+one factor per (head, c0 mod l).  Monte Carlo rows, small chunks and the
+compact Lambda layer (runs that read less than their bound or pass a table
+cap) are gathered per value in fixed tiles.  Memory does not grow with x.
 """
 
 import bisect
@@ -316,12 +316,13 @@ def _euler_factor_tables(d, z, primes=None):
             for ell in primes}
 
 
-# Largest value bound the family moment reads from a dense Lambda table;
-# past it the compact layer (about bound/16 bytes) is used.  A dense gather
-# of 2**20 random values is 3x faster at 5e5 entries, where the table fits
-# in cache, but only 1.2x from 4e6 entries on and 1.05x at 4e7, while the
-# dense table takes 128 times the memory.  So the cut caps it at 32 MB.
-_DENSE_CUT = 1 << 22
+# Largest extended table of the family moment, in entries (256 MB).  Runs
+# that read their bound in values or more take it, others the compact
+# layer: reads = bound is where the two broke even in both modes (compact
+# at 0.37 and 0.5 times the bound, table at 1.02 and 1).  Past the cap, d
+# = 2, H = 50, x = 500 took 3.2-5.3 s and 44 MB scanned on 2 cores, and
+# 1.4-1.6 s and 343 MB at a cap of 2**26.
+_TABLE_CAP = 1 << 25
 
 # Tile of the moment kernel, in entries.  An element-gather tile (the int64
 # values and their Lambda terms) holds at most this many (row, m) entries,
@@ -356,8 +357,8 @@ class _Extended(NamedTuple):
 
 
 def _extended_table(bound, psi_kind, pad):
-    """The _Extended table the exhaustive kernel reads over a dense bound,
-    for values down to -pad (pad <= bound).
+    """The _Extended table the moment kernel reads over a bound, for values
+    down to -pad (pad <= bound).
 
     For psi the pad is zeros; for abs it is the positive half mirrored.
     The one Lambda fill writes the positive half in place, so no second
@@ -384,11 +385,11 @@ def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
     are one-row heads, each with its own c0, and their series is gathered
     per row.
 
-    The per-row m-sums psi and diag come from _box_sums where the chunk
-    has at least _TILE // 16 rows of an _Extended lam_table, and otherwise
-    from the element-gather tiles of _lambda_tiles, summed per row by
-    numpy.  Either way every row's Lambda terms, m-sums and series product
-    are those of the row-wise kernel, bit for bit.
+    The per-row m-sums psi and diag come from _box_sums where an exhaustive
+    chunk has at least _TILE // 16 rows of an _Extended lam_table, else from
+    the element-gather tiles of _lambda_tiles, summed per row by numpy.
+    Either way every row's Lambda terms, m-sums and series product are
+    those of the row-wise kernel, bit for bit.
     """
     n = len(rows)
     m = np.arange(1, x + 1, dtype=np.int64)
@@ -412,7 +413,7 @@ def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
         series = np.zeros(n, dtype=np.float64)
 
     sums = np.empty((2, n), dtype=np.float64)  # psi and diag per row
-    if isinstance(lam_table, _Extended) and n >= _TILE // 16:
+    if base and isinstance(lam_table, _Extended) and n >= _TILE // 16:
         _box_sums(start, rows, base, m, lam_table, psi_kind, sums)
     else:
         step = max(_TILE // max(x, 1), 1)  # rows per tile
@@ -447,8 +448,8 @@ def _lambda_tiles(heads, c0s, offset, n, m, step, lam_table, psi_kind):
     head.  Q is evaluated per group, never for every head of the chunk.
 
     Each tile is a (row, m) element gather: from an _Extended table at the
-    values shifted by its pad, from any other at the values clamped at 0
-    (psi: its entry 0 is 0, which drops P(m) <= 0) or made absolute.
+    values shifted by its pad, from the compact layer at the values clamped
+    at 0 (psi: its entry 0 is 0, which drops P(m) <= 0) or made absolute.
     """
     base, x = c0s.shape[1], len(m)
     group = max(step // base, 1)
@@ -650,18 +651,18 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
 
     Accumulates, per visited polynomial, the selected psi variant, the
     truncated singular series S_P(z), and the five decomposition pieces.
-    Up to _DENSE_CUT an exhaustive run reads one dense table extended
-    below 0 (_extended_table: 8 bytes per unit of bound plus the pad H (1
-    + x + ... + x**(d-1)), zeros for psi and mirrored for abs), one
-    strided view per m for each box of at most 2**15 rows, summed into
-    lanes of one scratch per chunk (8 + about log2(x/128) arrays of at
-    most 2**15 entries).  Monte Carlo runs, exhaustive chunks under 2**11
-    rows and runs past the cut gather per value, from the dense or
-    extended table or the compact layer, in tiles of at most 2**15 values
-    (one row once x exceeds that), with Q(m) = sum_{j>=1} c_j m**j
-    evaluated once per head (c1, ..., cd).  So each worker's temporaries
-    stay at a few MB.  The compact layer expects visits * x reads, so a
-    run that reads fewer values than its bound skips the layer's log scan.
+    A run whose reads, visits * x, reach its value bound takes one table
+    extended below 0 when bound and pad fit in _TABLE_CAP entries
+    (_extended_table: 8 bytes per entry, the pad H (1 + x + ... +
+    x**(d-1)) zeros for psi and mirrored for abs); any other run takes the
+    compact layer, built with those reads, so its log scan runs only past
+    the cap.  Exhaustive chunks read the table one strided view per m for
+    each box of at most 2**15 rows, summed into lanes of one scratch per
+    chunk (8 + about log2(x/128) arrays of at most 2**15 entries).  Monte
+    Carlo chunks, exhaustive chunks under 2**11 rows and the compact layer
+    gather per value, in tiles of at most 2**15 values (one row once x
+    exceeds that), with Q(m) = sum_{j>=1} c_j m**j evaluated once per head
+    (c1, ..., cd).  So each worker's temporaries stay at a few MB.
     Chunks run on `threads` threads (one per CPU at most) and merge in
     traversal order, so the result does not depend on `threads`.  Monte
     Carlo mode adds the standard error of the mean direct term from the
@@ -676,14 +677,13 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     factor_tables = _euler_factor_tables(spec.d, z, primes)
     psi_kind = "abs_from_one" if abs_from_one else "abs" if use_abs else "psi"
     base = 2 * spec.H + 1 if spec.mode == "exhaustive" else None
-    if bound > _DENSE_CUT:
-        lam_table = CompactLambda(bound, reads=spec.visit_count * x)
-    elif base is None:
-        lam_table = von_mangoldt_table(max(bound, 1))
-    else:
-        # P(m) >= m**d - H (1 + m + ... + m**(d-1)) >= -pad for m <= x
-        pad = spec.H * sum(x ** j for j in range(spec.d))
+    # c_d >= 1, so P(m) >= m**d - H (1 + m + ... + m**(d-1)) >= -pad, m <= x
+    pad = spec.H * sum(x ** j for j in range(spec.d))
+    reads = spec.visit_count * x
+    if reads >= bound and bound + pad <= _TABLE_CAP:
         lam_table = _extended_table(bound, psi_kind, pad)
+    else:
+        lam_table = CompactLambda(bound, reads)
 
     def work(item):
         start, rows = item

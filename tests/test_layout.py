@@ -145,6 +145,24 @@ def _called_name(call):
     return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
 
 
+def test_moment_lambda_source_is_one_choice():
+    # second_moment builds the extended table or the compact layer, by its
+    # reads against the value bound and a table cap, and no dense
+    # von_mangoldt_table; no fixed bound cut is left in sources or tests
+    moment = next(node for node in ast.walk(TREES["moments"])
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "second_moment")
+    sources = [_called_name(node) for node in ast.walk(moment)
+               if isinstance(node, ast.Call) and _called_name(node) in (
+                   "_extended_table", "CompactLambda", "von_mangoldt_table")]
+    assert sources == ["_extended_table", "CompactLambda"]
+    root, cut = SRC.parents[1], "_DENSE" + "_CUT"
+    mentions = [str(path.relative_to(root)) for folder in ("src", "tests")
+                for path in sorted((root / folder).rglob("*.py"))
+                if cut in path.read_text()]
+    assert mentions == []
+
+
 def test_environment_read_only_in_budgets():
     # budgets alone touches the environment: budgets.check applies
     # BHLAB_BUDGET, and the module's import pins OPENBLAS_NUM_THREADS

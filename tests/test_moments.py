@@ -558,8 +558,9 @@ class TestHeadSharedKernel:
     # + 30**3) = -55860.  The family's own heads (c3 >= 1) reach Q(2) = -4,
     # below -H - 1 = -3, so rows read the table below 0.  At the default
     # tile these chunks of 64 rows take the element gather; with tiles of
-    # 60 entries they take boxes, up to two 25-row planes each.  At x = 30 a row's m-sum fills 8 lanes and a tail, so a sum in
-    # any other order would change it.
+    # 60 entries they take boxes, up to two 25-row planes each.  At x = 30
+    # a row's m-sum fills 8 lanes and a tail, so a sum in any other order
+    # would change it.
     @pytest.mark.parametrize("tile", [None, 2 * 30],
                              ids=["tile", "two-row-tile"])
     def test_heads_far_below_minus_h(self, monkeypatch, tile):
@@ -612,8 +613,8 @@ class TestHeadSharedKernel:
     # 129 and 300 are halved.  Each chunk size of the geometries above is
     # read in boxes, since a tile of 16 chunks' rows routes full chunks to
     # them (the first 40 chunks for d >= 2, which cross planes).  d = 3
-    # stops at x = 30: at x = 128 its value bound is past the dense cut for
-    # every H.
+    # stops at x = 30: at x = 128 the oracle's dense table would hold
+    # 4 * 8 * 128**3 = 6.7e7 entries (537 MB).
     @pytest.mark.parametrize("d,x", [(d, x) for d in (1, 2, 3)
                                      for x in (8, 9, 30, 128, 129, 300)
                                      if d < 3 or x <= 30])
@@ -736,124 +737,136 @@ class TestLaneSum:
 
 
 class TestCompactLayer:
-    """Past the dense cut the family moment gathers from the compact layer;
-    either layer gives the same report, bit for bit."""
+    """A run that reads at least its value bound in values takes the
+    extended table, under _TABLE_CAP entries; any other run the compact
+    layer, which scans for np.log misses only when the reads reach the
+    bound.  Every source gives the same report, bit for bit."""
 
-    @pytest.mark.parametrize("H,layer", [(2**20, "dense"),
-                                         (2**20 + 1, "compact")])
-    def test_both_sides_of_the_dense_cut(self, monkeypatch, H, layer):
-        # d = 1, x = 2: the value bound 4H is the cut itself, or just past
-        spec = FamilySpec(d=1, H=H, mode="montecarlo", sample_count=3000,
-                          seed=5)
-        assert (value_bound(1, H, 2) <= moments._DENSE_CUT) == (
-            layer == "dense")
-        built = []
-        for name in ("von_mangoldt_table", "CompactLambda"):
-            real = getattr(moments, name)
-            monkeypatch.setattr(moments, name,
-                                lambda *args, name=name, real=real, **kw:
-                                built.append(name) or real(*args, **kw))
-        report = second_moment(spec, 2, 10)
-        assert built == [{"dense": "von_mangoldt_table",
-                          "compact": "CompactLambda"}[layer]]
-        # the other layer, forced by moving the cut
-        monkeypatch.setattr(moments, "_DENSE_CUT",
-                            0 if layer == "dense" else 2**40)
-        other = second_moment(spec, 2, 10)
-        assert built[1] != built[0]
-        assert report.raw == other.raw
-        assert report.mc_stderr == other.mc_stderr
+    # (spec, x) at the bound and just below it, d = 2.  Monte Carlo, H =
+    # 100, x = 20: 6000 draws read the bound 3 H x**2 = 120,000 itself,
+    # 5999 draws 20 values less.  Exhaustive, H = 10: 4410 rows read 4410 x
+    # values, the bound 30 x**2 at x = 147 and 0.993 times it at x = 148.
+    RULE_RUNS = {
+        ("montecarlo", "below"): (FamilySpec(d=2, H=100, mode="montecarlo",
+                                             sample_count=5999, seed=5), 20),
+        ("montecarlo", "at"): (FamilySpec(d=2, H=100, mode="montecarlo",
+                                          sample_count=6000, seed=5), 20),
+        ("exhaustive", "below"): (FamilySpec(d=2, H=10), 148),
+        ("exhaustive", "at"): (FamilySpec(d=2, H=10), 147),
+    }
 
-    # d = 2, H = 3: the value bound 9 x**2 is 4,186,116 at x = 682, under
-    # the cut, and past it at x = 683
-    @pytest.mark.parametrize("x,layer", [(682, "dense"), (683, "compact")])
-    def test_exhaustive_both_sides_of_the_dense_cut(self, monkeypatch, x,
-                                                    layer):
-        spec = FamilySpec(d=2, H=3)
-        assert (value_bound(2, 3, x) <= moments._DENSE_CUT) == (
-            layer == "dense")
-        read = []
-        real = moments._chunk_stats
-        monkeypatch.setattr(moments, "_chunk_stats", lambda *args: read.append(
-            type(args[4]).__name__) or real(*args))
-        cut = moments._DENSE_CUT
+    @pytest.mark.parametrize("side,source", [
+        ("below", "compact"), ("at", "table"), ("past-cap", "scanned")])
+    @pytest.mark.parametrize("mode", ["montecarlo", "exhaustive"])
+    def test_source_follows_reads_and_cap(self, monkeypatch, mode, side,
+                                          source):
+        spec, x = self.RULE_RUNS[mode, "below" if side == "below" else "at"]
+        bound, pad = value_bound(2, spec.H, x), _extended_pad(2, spec.H, x)
+        reads = spec.visit_count * x
+        assert reads < bound if side == "below" else reads == bound
+        assert bound + pad <= moments._TABLE_CAP
+        if side == "past-cap":  # one entry short of the table
+            monkeypatch.setattr(moments, "_TABLE_CAP", bound + pad - 1)
+        read, scans = [], []  # the Lambda source of each chunk
+
+        def source_of(table):
+            if isinstance(table, moments._Extended):
+                return "table"
+            return "scanned" if table.scanned else "compact"
+
+        real_stats, real_scan = moments._chunk_stats, arith._log_batches
+        real_layer = arith.CompactLambda
+        monkeypatch.setattr(moments, "_chunk_stats", lambda *args:
+                            read.append(args[4]) or real_stats(*args))
+        monkeypatch.setattr(arith, "_log_batches", lambda primes:
+                            scans.append(len(primes)) or real_scan(primes))
         for use_abs, from_one in ((False, False), (True, False),
                                   (True, True)):
+            kind = "abs_from_one" if from_one else "abs" if use_abs else "psi"
+            read.clear()
+            scans.clear()
             report = second_moment(spec, x, 10, use_abs=use_abs,
                                    abs_from_one=from_one)
-            # the other layer, forced by moving the cut
-            monkeypatch.setattr(moments, "_DENSE_CUT",
-                                0 if layer == "dense" else 2**40)
-            other = second_moment(spec, x, 10, use_abs=use_abs,
-                                  abs_from_one=from_one)
-            monkeypatch.setattr(moments, "_DENSE_CUT", cut)
-            assert report.raw == other.raw, (use_abs, from_one)
-        pair = ["_Extended", "CompactLambda"]
-        if layer == "compact":
-            pair.reverse()
-        assert read == 3 * pair
+            assert [source_of(table) for table in read] == [source]
+            # the log scan, or the table's fill, takes every odd prime
+            # below the bound; the unscanned layer takes none
+            assert sum(scans) == (0 if source == "compact"
+                                  else len(sieve_primes(bound)) - 1)
+            # the other sources, forced: under a cap of -1 every run calls
+            # CompactLambda(bound, reads), here the source asked for (the
+            # table's own fill calls it with the bound alone)
+            forced = {
+                "compact": lambda bound, reads: real_layer(bound),
+                "scanned": lambda bound, reads: real_layer(bound, bound),
+                "table": lambda bound, *reads: moments._extended_table(
+                    bound, kind, pad) if reads else real_layer(bound),
+            }
+            for other in sorted(set(forced) - {source}):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(moments, "_TABLE_CAP", -1)
+                    patch.setattr(moments, "CompactLambda", forced[other])
+                    got = second_moment(spec, x, 10, use_abs=use_abs,
+                                        abs_from_one=from_one)
+                assert source_of(read[-1]) == other
+                assert got.raw == report.raw, (kind, other)
+                assert got.mc_stderr == report.mc_stderr, (kind, other)
 
-    # the extended table is filled in place: psi adds 2H + 1 entries to the
-    # dense table (36.8 MiB peak with the dense table alone), abs doubles it
-    @pytest.mark.parametrize("use_abs", [False, True], ids=["psi", "abs"])
-    def test_exhaustive_extended_table_memory(self, use_abs):
-        bound = value_bound(2, 3, 682)
-        assert bound <= moments._DENSE_CUT
+    # d = 2, H = 20, x = 264: 33,620 rows read 8.9e6 values, over the
+    # value bound 4,181,760, so the run takes the extended table.  The
+    # table is filled in place: psi adds the pad of 5300 entries to the
+    # dense table (31.9 MiB; 36.9 MiB traced peak), abs doubles it
+    MEMORY_RUN = FamilySpec(d=2, H=20), 264
+
+    def _traced_peak(self, **kw):
+        spec, x = self.MEMORY_RUN
+        assert spec.visit_count * x >= value_bound(2, spec.H, x)
         tracemalloc.start()
         try:
-            second_moment(FamilySpec(d=2, H=3), 682, 10, use_abs=use_abs)
-            peak = tracemalloc.get_traced_memory()[1]
+            second_moment(spec, x, 10, **kw)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("use_abs", [False, True], ids=["psi", "abs"])
+    def test_exhaustive_extended_table_memory(self, use_abs):
+        bound = value_bound(2, 20, 264)
+        peak = self._traced_peak(use_abs=use_abs)
         dense = 8 * (bound + 1)
         assert peak < (2 * dense + 8 * 2**20 if use_abs else 40 * 2**20)
 
     # abs mirrors only the pad below 0, H (1 + x) entries at d = 2, so its
-    # table is the psi table's size (68.8 MiB peak when abs mirrored the
-    # whole bound)
+    # table is the psi table's size (a mirror of the whole bound would
+    # double it)
     def test_exhaustive_abs_table_is_one_dense_table(self):
-        bound = value_bound(2, 3, 682)
-        pad = _extended_pad(2, 3, 682)
-        tracemalloc.start()
-        try:
-            second_moment(FamilySpec(d=2, H=3), 682, 10, use_abs=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        bound, pad = value_bound(2, 20, 264), _extended_pad(2, 20, 264)
+        peak = self._traced_peak(use_abs=True)
         assert peak < 8 * (bound + 1 + pad) + 8 * 2**20
 
+    # At a cap of bound + pad entries the run builds the table, 8 bytes an
+    # entry; one entry less and it takes the scanned compact layer, about
+    # bound/16 bytes, and holds under a third of the dense table (7.0 MiB
+    # traced, against 36.9 MiB at the cap)
+    @pytest.mark.parametrize("short", [0, 1], ids=["at-cap", "past-cap"])
+    def test_memory_at_and_past_the_cap(self, monkeypatch, short):
+        bound, pad = value_bound(2, 20, 264), _extended_pad(2, 20, 264)
+        monkeypatch.setattr(moments, "_TABLE_CAP", bound + pad - short)
+        peak = self._traced_peak()
+        if short:
+            assert peak < 8 * (bound + 1) // 3
+        else:
+            assert 8 * (bound + pad) < peak < (8 * (bound + 1 + pad)
+                                                + 8 * 2**20)
+
     def test_threaded_montecarlo_equals_one_thread(self):
-        # value bound 3 * 3000 * 30**2 = 8.1e6, past the cut; 4 chunks
+        # 4 chunks read 5.9e6 values, under the value bound 3 * 3000 *
+        # 30**2 = 8.1e6, so they gather from the compact layer
         spec = FamilySpec(d=2, H=3000, mode="montecarlo",
                           sample_count=3 * CHUNK_SIZE + 100, seed=3)
-        assert value_bound(2, 3000, 30) > moments._DENSE_CUT
+        assert spec.visit_count * 30 < value_bound(2, 3000, 30)
         one = second_moment(spec, 30, 30, threads=1)
         two = second_moment(spec, 30, 30, threads=2)
         assert one.raw == two.raw
         assert one.mc_stderr == two.mc_stderr
-
-    # d = 1, H = 2, x = 1.1e6: the value bound 4.4e6 is past the cut; one
-    # Monte Carlo draw reads 1.1e6 values, the 10 exhaustive rows 1.1e7
-    @pytest.mark.parametrize("mode,scanned", [("montecarlo", False),
-                                              ("exhaustive", True)])
-    def test_log_scan_only_when_reads_reach_the_bound(self, monkeypatch,
-                                                      mode, scanned):
-        x = 1_100_000
-        bound = value_bound(1, 2, x)
-        assert bound > moments._DENSE_CUT
-        spec = FamilySpec(d=1, H=2, mode=mode, sample_count=1, seed=1)
-        assert (spec.visit_count * x >= bound) == scanned
-        layers, scans = [], []
-        real_layer, real_scan = moments.CompactLambda, arith._log_batches
-        monkeypatch.setattr(moments, "CompactLambda", lambda *args, **kw:
-                            layers.append(real_layer(*args, **kw))
-                            or layers[-1])
-        monkeypatch.setattr(arith, "_log_batches", lambda primes:
-                            scans.append(len(primes)) or real_scan(primes))
-        second_moment(spec, x, 3)
-        assert [layer.scanned for layer in layers] == [scanned]
-        # the scan takes every odd prime below the bound, or none
-        assert sum(scans) == (len(sieve_primes(bound)) - 1 if scanned else 0)
 
     def test_montecarlo_allocates_no_dense_table(self):
         # the value bound 4e7 took a 320 MB float64 table
