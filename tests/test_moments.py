@@ -811,6 +811,96 @@ class TestCompactLayer:
                 assert got.raw == report.raw, (kind, other)
                 assert got.mc_stderr == report.mc_stderr, (kind, other)
 
+    @staticmethod
+    def _force_table(monkeypatch, kind, pad):
+        """Make second_moment take the extended table: under a cap of -1 it
+        calls CompactLambda(bound, reads), here the table (whose own fill
+        calls it with the bound alone)."""
+        real_layer = arith.CompactLambda
+        monkeypatch.setattr(moments, "_TABLE_CAP", -1)
+        monkeypatch.setattr(moments, "CompactLambda", lambda bound, *reads:
+                            moments._extended_table(bound, kind, pad)
+                            if reads else real_layer(bound))
+
+    # d = 1, x = 2: the value bound 4H + 4 is just past the old fixed cut
+    # of 2**22, and 3000 draws read 6000 values, far under it, so the run
+    # gathers from the unscanned compact layer; the extended table gives
+    # the same report
+    @pytest.mark.parametrize("H,layer", [(2**20 + 1, "compact")])
+    def test_both_sides_of_the_dense_cut(self, monkeypatch, H, layer):
+        spec = FamilySpec(d=1, H=H, mode="montecarlo", sample_count=3000,
+                          seed=5)
+        bound, pad = value_bound(1, H, 2), _extended_pad(1, H, 2)
+        assert spec.visit_count * 2 < bound
+        assert bound + pad <= moments._TABLE_CAP
+        read = []
+        real = moments._chunk_stats
+        monkeypatch.setattr(moments, "_chunk_stats", lambda *args:
+                            read.append(args[4]) or real(*args))
+        report = second_moment(spec, 2, 10)
+        assert [type(table).__name__ for table in read] == ["CompactLambda"]
+        assert not read[0].scanned
+        # the other side, forced
+        with pytest.MonkeyPatch.context() as patch:
+            self._force_table(patch, "psi", pad)
+            other = second_moment(spec, 2, 10)
+        assert isinstance(read[1], moments._Extended)
+        assert report.raw == other.raw
+        assert report.mc_stderr == other.mc_stderr
+
+    # d = 2, H = 3, x = 683: the value bound 9 x**2 = 4,198,401 was just past
+    # the old cut; the 147 rows read 100,401 values, so the run takes the
+    # unscanned compact layer, and the extended table gives the same report
+    @pytest.mark.parametrize("x,layer", [(683, "compact")])
+    def test_exhaustive_both_sides_of_the_dense_cut(self, monkeypatch, x,
+                                                    layer):
+        spec = FamilySpec(d=2, H=3)
+        bound, pad = value_bound(2, 3, x), _extended_pad(2, 3, x)
+        assert spec.visit_count * x < bound
+        assert bound + pad <= moments._TABLE_CAP
+        read = []
+        real = moments._chunk_stats
+        monkeypatch.setattr(moments, "_chunk_stats", lambda *args:
+                            read.append(args[4]) or real(*args))
+        for use_abs, from_one in ((False, False), (True, False),
+                                  (True, True)):
+            kind = "abs_from_one" if from_one else "abs" if use_abs else "psi"
+            report = second_moment(spec, x, 10, use_abs=use_abs,
+                                   abs_from_one=from_one)
+            assert not read[-1].scanned
+            # the other side, forced
+            with pytest.MonkeyPatch.context() as patch:
+                self._force_table(patch, kind, pad)
+                other = second_moment(spec, x, 10, use_abs=use_abs,
+                                      abs_from_one=from_one)
+            assert report.raw == other.raw, kind
+        assert [type(table).__name__ for table in read] == 3 * [
+            "CompactLambda", "_Extended"]
+
+    # d = 1, H = 2, x = 1.1e6, past a cap under the value bound 4.4e6: one
+    # Monte Carlo draw reads 1.1e6 values, the 10 exhaustive rows 1.1e7, so
+    # only the exhaustive run's compact layer scans for np.log misses
+    @pytest.mark.parametrize("mode,scanned", [("montecarlo", False),
+                                              ("exhaustive", True)])
+    def test_log_scan_only_when_reads_reach_the_bound(self, monkeypatch,
+                                                      mode, scanned):
+        x = 1_100_000
+        bound = value_bound(1, 2, x)
+        monkeypatch.setattr(moments, "_TABLE_CAP", bound)
+        spec = FamilySpec(d=1, H=2, mode=mode, sample_count=1, seed=1)
+        assert (spec.visit_count * x >= bound) == scanned
+        layers, scans = [], []
+        real_layer, real_scan = moments.CompactLambda, arith._log_batches
+        monkeypatch.setattr(moments, "CompactLambda", lambda *args, **kw:
+                            layers.append(real_layer(*args, **kw))
+                            or layers[-1])
+        monkeypatch.setattr(arith, "_log_batches", lambda primes:
+                            scans.append(len(primes)) or real_scan(primes))
+        second_moment(spec, x, 3)
+        assert [layer.scanned for layer in layers] == [scanned]
+        # the scan takes every odd prime below the bound, or none
+        assert sum(scans) == (len(sieve_primes(bound)) - 1 if scanned else 0)
+
     # d = 2, H = 20, x = 264: 33,620 rows read 8.9e6 values, over the
     # value bound 4,181,760, so the run takes the extended table.  The
     # table is filled in place: psi adds the pad of 5300 entries to the
