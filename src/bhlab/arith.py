@@ -238,6 +238,16 @@ def is_squarefree(n):
     return mobius(n) != 0
 
 
+def squarefree_primes(k):
+    """Ascending primes of a squarefree modulus k >= 1 ([] for k = 1)."""
+    if k < 1:
+        raise ValueError(f"modulus must be positive, got {k}")
+    factors = factorize(k)
+    if any(e > 1 for _, e in factors):
+        raise ValueError(f"modulus must be squarefree, got {k}")
+    return [p for p, _ in factors]
+
+
 def primorial(w):
     """Product of all primes strictly below w, for real w > 1.
 
@@ -272,10 +282,8 @@ def von_mangoldt_table(limit):
     _LOG_CHUNK batches, then its patch array on top, so every entry is
     math.log(p) at a power of p.  The layer is built without the log scan,
     which only a gather uses.  The prime sieve's fixed limit is checked
-    first.
+    first, and CompactLambda refuses a negative limit.
     """
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
     check_table("prime sieve", limit)
     layer = CompactLambda(limit)
     table = np.zeros(limit + 1, dtype=np.float64)

@@ -212,8 +212,6 @@ def _moment_rows(args):
     _require(args, "H", "x")
     if args.abs_from_one and not args.abs:
         raise ValueError("--abs-from-one requires --abs")
-    if args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     d, H, xs, zs, gamma = args.d, args.H, args.x, args.z, args.gamma
     mode = {"mc": "montecarlo"}.get(args.mode, args.mode)
     # exhaustive traversal ignores samples and seed

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import budgets
-from .arith import factorize, is_squarefree
+from .arith import squarefree_primes
 from .poly import digit_columns, residue_key, root_count_table
 
 _TILE = 1 << 20  # tuples per tile of the direct enumeration
@@ -100,16 +100,11 @@ def _residue_family_sums(g, k, d, label):
     mod k (no Chinese remainder shortcut), the product side over the tuples
     mod each l, in itertools.product order, multiplied.
     """
-    if k < 1:
-        raise ValueError(f"modulus must be positive, got {k}")
-    if not is_squarefree(k):
-        raise ValueError(f"modulus must be squarefree, got {k}")
+    primes = squarefree_primes(k)
     budgets.check(label, k ** (d + 1), budgets.DEFAULT_RESIDUE_BUDGET)
-    primes = [ell for ell, _ in factorize(k)]
     tables = [_local_table(g, ell, d) for ell in primes]
-    product = 1
-    for table, ell in zip(tables, primes):
-        product *= _direct_sum([table], [ell], ell, d)
+    product = math.prod(_direct_sum([table], [ell], ell, d)
+                        for table, ell in zip(tables, primes))
     return _direct_sum(tables, primes, k, d), product
 
 
@@ -216,7 +211,6 @@ def squared_factor_sum(k, d):
         by_root_count(local_factor), k, d,
         "residue squared-factor enumeration")
     closed = Fraction(1)
-    for ell, _ in factorize(k):
-        closed *= (2 * Fraction(ell) ** d - 2 * Fraction(ell) ** (d - 1)
-                   + Fraction(ell) ** (d - 2))
+    for ell in map(Fraction, squarefree_primes(k)):
+        closed *= 2 * ell**d - 2 * ell ** (d - 1) + ell ** (d - 2)
     return FactorSumPair(enumerated=Fraction(enumerated), closed_form=closed)

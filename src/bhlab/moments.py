@@ -17,6 +17,7 @@ cap) are gathered per value in fixed tiles.  Memory does not grow with x.
 
 import bisect
 import math
+import operator
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -604,15 +605,15 @@ def _lane_sum(term, n, scratch, out, sq=None):
 
 
 def _ordered_map(fn, items, threads):
-    """Yield fn(item) in input order, computed on `threads` worker threads,
-    but no more than the CPUs this process may use.
+    """Yield fn(item) in input order, computed on min(threads, CPUs this
+    process may use) workers; threads is an integer >= 1 (see second_moment).
 
     Unlike Executor.map, which submits every item at once, at most one call
     per worker is pending, so at most workers + 1 items are alive at a time.
     """
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    threads = max(min(threads, cpus), 1)  # threads < 1 runs on one worker
+    threads = min(threads, cpus)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
         for item in items:
@@ -664,13 +665,16 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     exceeds that), with Q(m) = sum_{j>=1} c_j m**j evaluated once per head
     (c1, ..., cd).  So each worker's temporaries stay at a few MB.
     Chunks run on `threads` threads (one per CPU at most) and merge in
-    traversal order, so the result does not depend on `threads`.  Monte
-    Carlo mode adds the standard error of the mean direct term from the
-    sample variance; for a mean this equals the delete-one jackknife
-    standard error.
+    traversal order, so the result does not depend on `threads`; a count
+    that is not an integer (by operator.index) or is below 1 is refused
+    before any table is built.  Monte Carlo mode adds the standard error
+    of the mean direct term from the sample variance; for a mean this
+    equals the delete-one jackknife standard error.
     """
     if abs_from_one and not use_abs:
         raise ValueError("abs_from_one requires use_abs")
+    if not hasattr(threads, "__index__") or operator.index(threads) < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     primes = check_moment_point(spec, x, z, center)
     x = int(x)
     bound = value_bound(spec.d, spec.H, x)

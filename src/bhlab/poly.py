@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import budgets
-from .arith import factorize, is_prime_u64, is_squarefree, primes_below
+from .arith import is_prime_u64, primes_below, squarefree_primes
 
 # Fixed traversal chunk geometry.  Monte Carlo chunks re-seed a Philox
 # stream at counter offset chunk_index * _PHILOX_STRIDE, which no chunk can
@@ -290,12 +290,8 @@ def root_count_table(ell, d):
 
 def roots_count_mod_squarefree(P, k):
     """Root count mod squarefree k, as a product over primes dividing k."""
-    if k < 1:
-        raise ValueError(f"modulus must be positive, got {k}")
-    if not is_squarefree(k):
-        raise ValueError(f"modulus must be squarefree, got {k}")
     out = 1
-    for ell, _ in factorize(k):
+    for ell in squarefree_primes(k):
         out *= roots_count_mod_prime(P, ell)
         if out == 0:
             break

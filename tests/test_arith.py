@@ -9,8 +9,8 @@ from bhlab import arith
 from bhlab.budgets import MAX_FAMILY_TABLE, MAX_TABLE, LimitError
 from bhlab.arith import (CompactLambda, chebyshev_psi, euler_phi, factorize,
                          is_prime_u64, mobius, omega_distinct, phi_table,
-                         primes_below, primorial, sieve_primes, von_mangoldt,
-                         von_mangoldt_table)
+                         primes_below, primorial, sieve_primes,
+                         squarefree_primes, von_mangoldt, von_mangoldt_table)
 
 
 def trial_division_lambda(n):
@@ -219,6 +219,14 @@ class TestVonMangoldt:
         assert chebyshev_psi(10, table=lam_table_1e6) == pytest.approx(
             sum(von_mangoldt(n) for n in range(1, 11)))
 
+    def test_chebyshev_psi_below_one_is_zero(self):
+        assert chebyshev_psi(0.5) == 0.0
+
+    def test_table_refuses_a_negative_limit(self):
+        # the refusal is CompactLambda's, which the table unpacks
+        with pytest.raises(ValueError, match="^limit must be nonnegative$"):
+            von_mangoldt_table(-1)
+
     def test_chebyshev_psi_refuses_a_short_table(self):
         table = von_mangoldt_table(100)
         assert chebyshev_psi(100, table=table) == chebyshev_psi(100)
@@ -418,6 +426,21 @@ class TestMultiplicativeFunctions:
         assert mu_sums[1] == 1
         assert not mu_sums[2:].any()
         assert (phi_sums[1:] == np.arange(1, limit + 1)).all()
+
+    @pytest.mark.parametrize("k,primes", [(1, []), (2, [2]), (30, [2, 3, 5]),
+                                          (1_000_003 * 7, [7, 1_000_003])],
+                             ids=["1", "2", "30", "7000021"])
+    def test_squarefree_primes(self, k, primes):
+        assert squarefree_primes(k) == primes
+
+    @pytest.mark.parametrize("k,message", [
+        (12, "modulus must be squarefree, got 12"),
+        (0, "modulus must be positive, got 0"),
+        (-3, "modulus must be positive, got -3"),
+    ], ids=["12", "0", "-3"])
+    def test_squarefree_primes_refusals(self, k, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            squarefree_primes(k)
 
     def test_factorize_reconstructs_n(self):
         for n in range(1, 10**4 + 1):

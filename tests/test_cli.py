@@ -54,6 +54,18 @@ class TestPsi:
         assert "psi_abs_from_one" in out
         assert f"value = {math.log(2):.15g}" in out
 
+    @pytest.mark.parametrize("argv,kind,value", [
+        (("--poly", "1,0,1", "--x", "3", "--theta"), "theta",
+         "2.30258509299405"),  # log 2 + log 5
+        (("--poly=-3,0,1", "--x", "3", "--neg"), "negative_part",
+         "0.693147180559945"),  # -P(1) = 2
+    ], ids=["theta", "neg"])
+    def test_theta_and_negative_part(self, capsys, argv, kind, value):
+        code, out = run(capsys, "psi", *argv)
+        assert code == 0
+        assert f"# kind = {kind}\n" in out
+        assert out.endswith(f"value = {value}\n")
+
     @pytest.mark.parametrize("argv", [
         ("psi", "--poly", "-3,0,0,1", "--x", "20"),
         ("psi", "--x", "20", "--abs", "--poly", "-3,0,0,1"),
@@ -194,6 +206,16 @@ class TestMoment:
         assert code == 0
         assert "# H = 1" in out
 
+    def test_config_file_skips_comments_and_blank_lines(self, capsys,
+                                                        tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# moment settings\n\nH = 1\n  \n  # x = 5\nx = 1\n"
+                       "z = 2\n")
+        code, out = run(capsys, "--config", str(cfg), "moment")
+        assert code == 0
+        assert out == run(capsys, "moment", "--H", "1", "--x", "1",
+                          "--z", "2")[1]
+
 
 class TestSuites:
     def test_identities_passes(self, capsys):
@@ -249,6 +271,17 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1
         assert err.startswith("usage error: ")
         assert "Traceback" not in err
+
+    def test_thread_count_refused_in_the_library_words(self, capsys,
+                                                       tmp_path):
+        target = tmp_path / "out.csv"
+        for out_flag in ([], ["--out", str(target)]):
+            code = main(["moment", "--H", "2", "--x", "3", "--threads", "0",
+                         *out_flag])
+            assert (code, *capsys.readouterr()) == (
+                2, "", "usage error: threads must be an integer >= 1, "
+                       "got 0\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_grid_is_refused_before_any_point_runs(self, capsys,
                                                    monkeypatch):

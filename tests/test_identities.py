@@ -139,6 +139,11 @@ class TestMultiplicativeAverage:
         with pytest.raises(ValueError):
             multiplicative_average(local_root_fraction, 12, 1)
 
+    def test_modulus_refusal_text(self):
+        with pytest.raises(ValueError,
+                           match="^modulus must be positive, got 0$"):
+            multiplicative_average(local_root_fraction, 0, 1)
+
     @pytest.mark.parametrize("g", [
         local_root_fraction,
         lambda c, ell: 1 - local_root_fraction(c, ell),
@@ -346,6 +351,11 @@ class TestSquaredFactorSum:
         for k in SQUAREFREE_30:
             pair = squared_factor_sum(k, 2)
             assert pair.enumerated == pair.closed_form, k
+
+    def test_modulus_refusal_text(self):
+        with pytest.raises(ValueError,
+                           match="^modulus must be squarefree, got 12$"):
+            squared_factor_sum(12, 2)
 
     def test_degree_one_fractional_closed_form(self):
         pair = squared_factor_sum(2, 1)

@@ -259,3 +259,28 @@ def test_blas_pin_runs_before_numpy_loads():
     assert imported
     assert [name for name in imported
             if name.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def _leading_text(message):
+    """The literal text a message expression starts with, or None."""
+    if isinstance(message, ast.JoinedStr) and message.values:
+        message = message.values[0]
+    if isinstance(message, ast.Constant) and isinstance(message.value, str):
+        return message.value
+    return None
+
+
+def test_each_refusal_text_raised_from_one_module():
+    # a refusal rule has one home: a ValueError message that starts with
+    # literal text is raised from one module, and the others call it
+    homes = {}
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and _called_name(node.exc) == "ValueError"
+                    and node.exc.args):
+                text = _leading_text(node.exc.args[0])
+                if text:
+                    homes.setdefault(text, set()).add(module)
+    assert {text: sorted(modules) for text, modules in homes.items()
+            if len(modules) > 1} == {}

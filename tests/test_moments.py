@@ -341,6 +341,25 @@ class TestSecondMoment:
         with pytest.raises(BudgetError, match="traversal"):
             second_moment(spec, 20, 20)
 
+    @pytest.mark.parametrize("threads", [0, -4, 1.5])
+    def test_thread_count_refused_before_any_table(self, monkeypatch,
+                                                   threads):
+        def build(*args):
+            raise AssertionError("a table was built before the refusal")
+        for name in ("_euler_factor_tables", "_extended_table",
+                     "CompactLambda", "check_moment_point"):
+            monkeypatch.setattr(moments, name, build)
+        with pytest.raises(ValueError, match=(
+                rf"^threads must be an integer >= 1, got {threads}$")):
+            second_moment(FamilySpec(d=2, H=3), 3, 3, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2, 16])
+    def test_thread_count_accepted_and_echoed(self, threads):
+        spec = FamilySpec(d=2, H=3)
+        rep = second_moment(spec, 3, 3, threads=threads)
+        assert rep.params["threads"] == threads
+        assert rep.raw == second_moment(spec, 3, 3).raw
+
     def test_decomposition_identity(self):
         rep = second_moment(FamilySpec(d=2, H=10), 5, 5)
         assert rep.decomposition_residual() <= 1e-9

@@ -72,6 +72,13 @@ class TestIntPolynomial:
         assert P.in_family(5)
         assert not P.in_family(4)
 
+    @pytest.mark.parametrize("coeffs,text", [
+        ((0,), "0"), ((7,), "7"), ((1, 0, 1), "1 + 1*t^2"),
+        ((0, -3, 0, 2), "-3*t^1 + 2*t^3"),
+    ], ids=["zero", "constant", "quadratic", "cubic"])
+    def test_str(self, coeffs, text):
+        assert str(IntPolynomial(coeffs)) == text
+
     def test_rejects_zero_lead(self):
         with pytest.raises(ValueError):
             IntPolynomial((1, 0))
@@ -157,6 +164,14 @@ class TestRootsCount:
     def test_squarefree_validation(self):
         with pytest.raises(ValueError):
             roots_count_mod_squarefree(IntPolynomial((1, 1)), 12)
+
+    @pytest.mark.parametrize("k,message", [
+        (0, "modulus must be positive, got 0"),
+        (12, "modulus must be squarefree, got 12"),
+    ], ids=["0", "12"])
+    def test_modulus_refusal_texts(self, k, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            roots_count_mod_squarefree(IntPolynomial((1, 0, 1)), k)
 
     def test_crt_multiplicativity(self, rng):
         pairs = [(2, 15), (3, 10), (6, 35), (10, 21), (30, 7)]
