@@ -50,10 +50,19 @@ _FILTER_MASK = (1 << _FILTER_BITS) - 1
 _TRIAL_CAP = 1 << 10
 
 
+def raise_past_limit(n, primality=False):
+    """Raise the ValueError of an argument n outside the 2^63 range: that
+    of is_prime_u64 (primality) or of von_mangoldt, the one home of both
+    texts."""
+    if primality:
+        raise ValueError(f"primality test limited to [0, 2^63), got {n}")
+    raise ValueError(f"von_mangoldt limited to n < 2^63, got {n}")
+
+
 def is_prime_u64(n):
     """Deterministic Miller-Rabin primality test for 0 <= n < 2**63."""
     if not 0 <= n < VON_MANGOLDT_LIMIT:
-        raise ValueError(f"primality test limited to [0, 2^63), got {n}")
+        raise_past_limit(n, primality=True)
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -99,7 +108,7 @@ def von_mangoldt(n):
     if n < 1:
         raise ValueError(f"von_mangoldt requires n >= 1, got {n}")
     if n >= VON_MANGOLDT_LIMIT:
-        raise ValueError(f"von_mangoldt limited to n < 2^63, got {n}")
+        raise_past_limit(n)
     if n == 1:
         return 0.0
     if is_prime_u64(n):

@@ -210,8 +210,7 @@ def _power_cutoff(x, gamma):
 
 def _moment_rows(args):
     _require(args, "H", "x")
-    if args.abs_from_one and not args.abs:
-        raise ValueError("--abs-from-one requires --abs")
+    moments.psi_variant(args.abs, args.abs_from_one)  # before any limit
     d, H, xs, zs, gamma = args.d, args.H, args.x, args.z, args.gamma
     mode = {"mc": "montecarlo"}.get(args.mode, args.mode)
     # exhaustive traversal ignores samples and seed

@@ -2,23 +2,27 @@
 
 Scalar operations (psi, psi_abs, theta, negative_part) work on a single
 polynomial.  The family-level accumulators (second_moment, nondiagonal_term)
-run vectorized over fixed-size coefficient chunks with a deterministic merge
-order, optionally fanned out over threads.  Within a chunk the polynomials
-that share a head (c1, ..., cd) differ only in c0, so P(m) = Q(m) + c0 with
-Q evaluated once per head.  In exhaustive mode a row's value at m is
-linear in the base-(2H + 1) digits of its index, so for each m the Lambda
-terms of a box of rows (whole lower digits, a run of the next) are one
-strided view of a Lambda table extended below 0; the views are summed
-over m in the order numpy sums a row, and the singular series comes from
-one factor per (head, c0 mod l).  Monte Carlo rows, small chunks and the
-compact Lambda layer (runs that read less than their bound or pass a table
-cap) are gathered per value in fixed tiles.  Memory does not grow with x.
+run vectorized over fixed-size chunks of the traversal with a
+deterministic merge order, optionally fanned out over threads.  Within a
+chunk the polynomials that share a head (c1, ..., cd) differ only in c0, so
+P(m) = Q(m) + c0 with Q evaluated once per head.  An exhaustive chunk is an
+index range, not decoded rows: a row's value at m is linear in the
+base-(2H + 1) digits of its index, so only the heads and each box's first
+row are decoded, and for each m the Lambda terms of a box of rows (whole
+lower digits, a run of the next) are one strided view of a Lambda table
+extended below 0; the views are summed over m in the order numpy sums a
+row, in lanes of one scratch per worker thread, and the singular series
+comes from one factor per (head, c0 mod l).  Monte Carlo rows, small chunks
+and the compact Lambda layer (runs that read less than their bound or pass
+a table cap) are gathered per value in fixed tiles.  Memory does not grow
+with x.
 """
 
 import bisect
 import math
 import operator
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,10 +32,10 @@ import numpy as np
 
 from . import budgets
 from .arith import (VON_MANGOLDT_LIMIT, CompactLambda, check_lambda_table,
-                    euler_phi, is_prime_u64, primes_below, von_mangoldt,
-                    von_mangoldt_table)
-from .poly import (IntPolynomial, coefficient_chunks, eval_poly, residue_key,
-                   root_count_table, value_bound)
+                    euler_phi, is_prime_u64, primes_below, raise_past_limit,
+                    von_mangoldt, von_mangoldt_table)
+from .poly import (IntPolynomial, chunk_ranges, coefficient_chunks, eval_poly,
+                   exhaustive_rows, residue_key, root_count_table, value_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +91,7 @@ def _refuse_past_limit(P, x, which, start):
         v = eval_poly(P, m)
         arg = {"negative": -v, "nonzero": abs(v)}.get(which, v)
         if arg >= VON_MANGOLDT_LIMIT:
-            limit = ("primality test limited to [0, 2^63)" if which == "prime"
-                     else "von_mangoldt limited to n < 2^63")
-            raise ValueError(f"{limit}, got {arg}")
+            raise_past_limit(arg, primality=which == "prime")
 
 
 def psi(P, x):
@@ -328,14 +330,16 @@ _TABLE_CAP = 1 << 25
 # Tile of the moment kernel, in entries.  An element-gather tile (the int64
 # values and their Lambda terms) holds at most this many (row, m) entries,
 # and a box of _box_sums at most this many rows, so one lane of its scratch
-# takes 256 KB.  Larger tiles help long x and cost short x.  On a 2-core
-# machine, with boxes, tiles of 2**15, 2**16 and 2**17 entries: moment --d
-# 2 --H 100 --x 30 --z 30 took 0.60-0.75, 0.69-0.79 and 0.66-0.75 CPU s,
-# and --d 1 --H 500 --x 300 --z 20 --threads 2 0.41-0.51, 0.34-0.40 and
-# 0.31-0.40 wall s (3 fresh processes each); at 2**19 the compact gather
-# of d = 2, H = 20, x = 300 went 0.20 -> 0.34 s.  So the tile stays at
-# 2**15.  Chunks of fewer than _TILE // 16 rows take the element gather:
-# their lanes are too short to pay for a few calls per m.
+# takes 256 KB.  With the lane scratch kept per worker, no tile size is
+# mapped afresh per chunk, and a larger tile bought nothing: on a 2-core
+# machine, in two runs of 20 alternated rounds of fresh processes, tiles of
+# 2**15 and 2**16 entries took moment --d 2 --H 100 --x 30 --z 30 0.507
+# and 0.504, then 0.510 and 0.511 median CPU s, and --d 1 --H 500 --x 300
+# --z 20 --threads 2 0.422 and 0.438, then 0.419 and 0.433; 2**16 won 11
+# of 20 rounds of the pair both times.  At 2**19 the compact gather of d =
+# 2, H = 20, x = 300 went 0.20 -> 0.34 s.  So the tile stays at 2**15.
+# Chunks of fewer than _TILE // 16 rows take the element gather: their
+# lanes are too short to pay for a few calls per m.
 _TILE = 1 << 15
 
 
@@ -373,36 +377,43 @@ def _extended_table(bound, psi_kind, pad):
     return _Extended(table, pad)
 
 
-def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
-                 center):
+def _chunk_stats(start, chunk, spec, x, lam_table, factor_tables, psi_kind,
+                 center, per_thread):
     """Per-chunk unnormalized sums of the five decomposition pieces.
 
-    In exhaustive mode (base = 2H + 1) a head (c1, ..., cd) owns the base
+    An exhaustive chunk is the index range [start, chunk) of chunk_ranges,
+    chunk being its stop.  A head (c1, ..., cd) owns the base = 2H + 1
     consecutive rows c0 = -H, ..., H, and the chunk is the slice [offset,
     offset + n) of its heads' blocks, with offset = start mod base; heads
-    may straddle chunks.  The singular series is formed per (head, c0):
-    for each prime l the head's row of the factor table is gathered at c0
-    mod l, so no per-row key is formed.  Monte Carlo chunks (base None)
-    are one-row heads, each with its own c0, and their series is gathered
-    per row.
+    may straddle chunks.  Only the heads are decoded, from the indices of
+    their first rows.  The singular series is formed per (head, c0): for
+    each prime l the head's row of the factor table is gathered at c0 mod
+    l, so no per-row key is formed.  A Monte Carlo chunk is its rows
+    (count, d + 1), drawn by coefficient_chunks: one-row heads, each with
+    its own c0, whose series is gathered per row.
 
-    The per-row m-sums psi and diag come from _box_sums where an exhaustive
-    chunk has at least _TILE // 16 rows of an _Extended lam_table, else from
-    the element-gather tiles of _lambda_tiles, summed per row by numpy.
+    The per-row m-sums psi and diag come from _box_sums, in the calling
+    thread's scratch in the run's threading.local per_thread, where an
+    exhaustive chunk has at least _TILE // 16 rows of an _Extended
+    lam_table, else from the element-gather tiles of _lambda_tiles, summed
+    per row by numpy.
     Either way every row's Lambda terms, m-sums and series product are
     those of the row-wise kernel, bit for bit.
     """
-    n = len(rows)
     m = np.arange(1, x + 1, dtype=np.int64)
+    base = 2 * spec.H + 1 if spec.mode == "exhaustive" else None
     if base is None:
+        rows = chunk
+        n = len(rows)
         heads, c0s, offset = rows[:, 1:], rows[:, :1], 0
         series = np.ones(n, dtype=np.float64)
         for ell, factors in factor_tables.items():
             series *= factors[residue_key(rows.T, ell)]
     else:
-        offset = start % base
+        n, offset = chunk - start, start % base
         nheads = -(-(offset + n) // base)
-        heads = rows[np.maximum(np.arange(nheads) * base - offset, 0), 1:]
+        firsts = np.arange(start - offset, chunk, base, dtype=np.int64)
+        heads = exhaustive_rows(spec, firsts)[:, 1:]
         c0s = np.arange(-(base // 2), base // 2 + 1, dtype=np.int64)
         series = np.ones((nheads, base), dtype=np.float64)
         for ell, factors in factor_tables.items():
@@ -415,7 +426,8 @@ def _chunk_stats(start, rows, base, x, lam_table, factor_tables, psi_kind,
 
     sums = np.empty((2, n), dtype=np.float64)  # psi and diag per row
     if base and isinstance(lam_table, _Extended) and n >= _TILE // 16:
-        _box_sums(start, rows, base, m, lam_table, psi_kind, sums)
+        _box_sums(start, chunk, spec, m, lam_table, psi_kind, sums,
+                  per_thread)
     else:
         step = max(_TILE // max(x, 1), 1)  # rows per tile
         for a, lam in _lambda_tiles(heads, c0s, offset, n, m, step,
@@ -501,35 +513,37 @@ def _boxes(lo, hi, base, d, cap):
         p += run * size
 
 
-def _box_sums(start, rows, base, m, lam_table, psi_kind, out):
-    """psi and diag of the exhaustive rows [start, start + n) into out[0]
-    and out[1], read from the _Extended lam_table one box of rows at a
-    time.
+def _box_sums(start, stop, spec, m, lam_table, psi_kind, out, per_thread):
+    """psi and diag of the exhaustive rows [start, stop) into out[0] and
+    out[1], read from the _Extended lam_table one box of rows at a time.
 
     For a fixed m a row's value is linear in the digits of its index, so
     the values of a box of level k are P_first(m) + i_k m**k + ... + i_1 m
     + i_0 over the box's digits: one strided view of the table, of shape
-    (run, base, ..., base) and strides (m**k, ..., m, 1) entries.  The abs
-    variant reads its m = 1 term as the 0 at v = 0, with zero strides.
-    _lane_sum adds the views over m, then their squares.  Scratch is one
-    array per call, of at most min(_TILE, n) entries per row, reused by
-    every box, so a box makes only views.
+    (run, base, ..., base) and strides (m**k, ..., m, 1) entries, where the
+    box's first row is decoded from its index.  The abs variant reads its
+    m = 1 term as the 0 at v = 0, with zero strides.  _lane_sum adds the
+    views over m, then their squares, in the calling thread's
+    _lane_scratch, so a box makes only views.
     """
-    n, d, x = len(rows), rows.shape[1] - 1, len(m)
+    n, d, x = stop - start, spec.d, len(m)
+    base = 2 * spec.H + 1
     table, pad = lam_table
     cap = min(_TILE, n)
-    scratch = np.empty((_scratch_rows(x) + 1, cap), dtype=np.float64)
+    scratch = _lane_scratch(per_thread, _scratch_rows(x) + 1, cap)
     steps = 8 * m[:, None] ** np.arange(d, -1, -1)  # bytes per digit, per m
     if psi_kind == "abs":
         steps[:1] = 0
     steps = steps.tolist()
-    for p, k, run in _boxes(start, start + n, base, d, cap):
+    boxes = list(_boxes(start, stop, base, d, cap))
+    rows = exhaustive_rows(spec, np.array([p for p, _, _ in boxes],
+                                          dtype=np.int64))
+    firsts = (_head_values(rows[:, 1:], m) + (rows[:, :1] + pad)) * 8
+    if psi_kind == "abs":
+        firsts[:, :1] = 8 * pad
+    for (p, k, run), first in zip(boxes, firsts.tolist()):
         shape, size = (run,) + (base,) * k, run * base ** k
-        row = rows[p - start]
-        first = (_head_values(row[None, 1:], m)[0] + (row[0] + pad)) * 8
-        if psi_kind == "abs":
-            first[:1] = 8 * pad
-        first, box_steps = first.tolist(), [s[d - k :] for s in steps]
+        box_steps = [s[d - k :] for s in steps]
         lanes = scratch[:, :size].reshape((-1,) + shape)
         sq = lanes[-1]
 
@@ -540,6 +554,19 @@ def _box_sums(start, rows, base, m, lam_table, psi_kind, out):
         sums = out[:, p - start : p - start + size].reshape((2,) + shape)
         _lane_sum(term, x, lanes[:-1], sums[0])
         _lane_sum(term, x, lanes[:-1], sums[1], sq)
+
+
+def _lane_scratch(per_thread, rows, cols):
+    """A (rows, cols) float64 scratch of the calling thread, held in the
+    threading.local per_thread: the array the thread holds there when that
+    has at least these rows and columns, else a new one, which it then
+    holds.  second_moment makes one per_thread per run, and a run's chunks
+    take the same rows and at most _TILE columns, so each worker allocates
+    once per run."""
+    held = getattr(per_thread, "scratch", None)
+    if held is None or held.shape[0] < rows or held.shape[1] < cols:
+        held = per_thread.scratch = np.empty((rows, cols), dtype=np.float64)
+    return held[:rows, :cols]
 
 
 def _scratch_rows(n):
@@ -646,6 +673,15 @@ def check_moment_point(spec, x, z, center):
     return _series_primes(spec.d, z) if center == "bh" else []
 
 
+def psi_variant(use_abs=False, abs_from_one=False):
+    """The psi variant of the family moment: "psi" (Lambda(P(m)) over P(m)
+    > 0), "abs" (Lambda(|P(m)|) over 1 < m <= x) or "abs_from_one" (over
+    1 <= m <= x).  abs_from_one without use_abs is refused."""
+    if abs_from_one and not use_abs:
+        raise ValueError("abs_from_one requires use_abs")
+    return "abs_from_one" if abs_from_one else "abs" if use_abs else "psi"
+
+
 def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
                   threads=1):
     """Family second moment of psi_P(x) - x * S_P(z), fully decomposed.
@@ -657,13 +693,16 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     (_extended_table: 8 bytes per entry, the pad H (1 + x + ... +
     x**(d-1)) zeros for psi and mirrored for abs); any other run takes the
     compact layer, built with those reads, so its log scan runs only past
-    the cap.  Exhaustive chunks read the table one strided view per m for
-    each box of at most 2**15 rows, summed into lanes of one scratch per
-    chunk (8 + about log2(x/128) arrays of at most 2**15 entries).  Monte
-    Carlo chunks, exhaustive chunks under 2**11 rows and the compact layer
-    gather per value, in tiles of at most 2**15 values (one row once x
-    exceeds that), with Q(m) = sum_{j>=1} c_j m**j evaluated once per head
-    (c1, ..., cd).  So each worker's temporaries stay at a few MB.
+    the cap.  Exhaustive chunks go to the workers as index ranges and read
+    the table one strided view per m for each box of at most 2**15 rows,
+    summed into lanes of one scratch per worker thread, kept for the run (8
+    + about log2(x/128) arrays of at most 2**15 entries).  Monte Carlo
+    chunks, drawn on the calling thread, exhaustive chunks under 2**11 rows
+    and the compact layer gather per value, in tiles of at most 2**15
+    values (one row once x exceeds that), with Q(m) = sum_{j>=1} c_j m**j
+    evaluated once per head (c1, ..., cd).  So each worker's temporaries
+    stay at a few MB.  The psi variant is psi_variant(use_abs,
+    abs_from_one), which refuses abs_from_one without use_abs.
     Chunks run on `threads` threads (one per CPU at most) and merge in
     traversal order, so the result does not depend on `threads`; a count
     that is not an integer (by operator.index) or is below 1 is refused
@@ -671,16 +710,13 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     of the mean direct term from the sample variance; for a mean this
     equals the delete-one jackknife standard error.
     """
-    if abs_from_one and not use_abs:
-        raise ValueError("abs_from_one requires use_abs")
+    psi_kind = psi_variant(use_abs, abs_from_one)
     if not hasattr(threads, "__index__") or operator.index(threads) < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     primes = check_moment_point(spec, x, z, center)
     x = int(x)
     bound = value_bound(spec.d, spec.H, x)
     factor_tables = _euler_factor_tables(spec.d, z, primes)
-    psi_kind = "abs_from_one" if abs_from_one else "abs" if use_abs else "psi"
-    base = 2 * spec.H + 1 if spec.mode == "exhaustive" else None
     # c_d >= 1, so P(m) >= m**d - H (1 + m + ... + m**(d-1)) >= -pad, m <= x
     pad = spec.H * sum(x ** j for j in range(spec.d))
     reads = spec.visit_count * x
@@ -689,12 +725,16 @@ def second_moment(spec, x, z, center="bh", use_abs=False, abs_from_one=False,
     else:
         lam_table = CompactLambda(bound, reads)
 
-    def work(item):
-        start, rows = item
-        return _chunk_stats(start, rows, base, x, lam_table, factor_tables,
-                            psi_kind, center)
+    per_thread = threading.local()  # each worker's lane scratch, this run
 
-    chunks = list(_ordered_map(work, coefficient_chunks(spec), threads))
+    def work(item):
+        start, chunk = item
+        return _chunk_stats(start, chunk, spec, x, lam_table, factor_tables,
+                            psi_kind, center, per_thread)
+
+    items = (coefficient_chunks(spec) if spec.mode == "montecarlo"
+             else chunk_ranges(spec))
+    chunks = list(_ordered_map(work, items, threads))
     raw = {k: math.fsum(c[k] for c in chunks) for k in MomentReport.FIELDS}
     count = sum(c["count"] for c in chunks)
     mc_stderr = None

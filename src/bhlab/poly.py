@@ -348,16 +348,15 @@ class FamilySpec:
         budgets.check(name, self.visit_count, budgets.DEFAULT_FAMILY_BUDGET)
 
 
-def _decode_exhaustive(spec, start, stop):
-    """Coefficient rows for exhaustive indices [start, stop).
+def exhaustive_rows(spec, idx):
+    """Coefficient rows of the exhaustive indices in the int64 array idx.
 
     Index order: c_d in 1..H outermost, then c_{d-1}, ..., c_0 innermost,
     each low coefficient running -H..H, so the base-(2H+1) digits of an
     index are (c0 + H, ..., c_{d-1} + H, c_d - 1).  Returns an int64 array
-    of shape (stop-start, d+1) with columns (c0, ..., cd).
+    of shape (len(idx), d+1) with columns (c0, ..., cd).
     """
     d, H = spec.d, spec.H
-    idx = np.arange(start, stop, dtype=np.int64)
     out = np.column_stack(digit_columns(idx, 2 * H + 1, d + 1))
     out -= H  # whole-array passes: a strided out[:, :d] is slower
     out[:, d] += H + 1
@@ -378,18 +377,30 @@ def _draw_montecarlo(spec, chunk_index, count):
     return out
 
 
-def coefficient_chunks(spec, chunk_size=CHUNK_SIZE):
-    """Yield (start_index, coeff_rows) over the whole traversal.
+def chunk_ranges(spec, chunk_size=CHUNK_SIZE):
+    """Yield the (start, stop) index range of each chunk of the traversal.
 
-    Deterministic chunk geometry independent of consumer; the backbone for
-    both the generic visitor and the vectorized moment accumulators.
+    The one chunk geometry, independent of consumer: chunk_size indices
+    per chunk but the last.  The traversal's budget is checked at the
+    first next(), before any range.
     """
     spec.check_budget()
     total = spec.visit_count
-    for chunk_index, start in enumerate(range(0, total, chunk_size)):
-        stop = min(start + chunk_size, total)
+    for start in range(0, total, chunk_size):
+        yield start, min(start + chunk_size, total)
+
+
+def coefficient_chunks(spec, chunk_size=CHUNK_SIZE):
+    """Yield (start_index, coeff_rows) over the whole traversal, one item
+    per chunk_ranges range: the decoded exhaustive rows, or the chunk's
+    Monte Carlo draws.  The backbone of the generic visitor; the moment
+    kernel reads exhaustive chunks as ranges and Monte Carlo chunks from
+    here."""
+    for chunk_index, (start, stop) in enumerate(chunk_ranges(spec,
+                                                             chunk_size)):
         if spec.mode == "exhaustive":
-            yield start, _decode_exhaustive(spec, start, stop)
+            idx = np.arange(start, stop, dtype=np.int64)
+            yield start, exhaustive_rows(spec, idx)
         else:
             yield start, _draw_montecarlo(spec, chunk_index, stop - start)
 

@@ -457,7 +457,7 @@ class TestRefusals:
         # refused before the Lambda-table limit
         "moment-abs-from-one-without-abs": (
             "moment --d 3 --H 1000 --x 1000 --z 2 --abs-from-one",
-            "usage error: --abs-from-one requires --abs"),
+            "usage error: abs_from_one requires use_abs"),
     }
 
     @pytest.mark.parametrize("case", CASES)

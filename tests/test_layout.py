@@ -2,7 +2,7 @@
 
 Each shared concept has one implementation: modules reach each other only
 through public names, primes below a cutoff come from arith alone, and the
-root counts w_P(l) from poly alone.
+root counts w_P(l) and the traversal's chunks from poly alone.
 """
 
 import ast
@@ -62,6 +62,18 @@ def test_sieve_primes_called_only_in_arith():
                 if name == "sieve_primes":
                     callers.add(module)
     assert callers == {"arith"}
+
+
+def test_chunk_geometry_only_in_poly():
+    # the traversal's chunks are cut by poly alone (chunk_ranges): no other
+    # module names the chunk size, so the moment kernel's index ranges and
+    # coefficient_chunks' rows share one geometry
+    geometry = {"CHUNK_SIZE", "chunk_size"}
+    namers = {module for module, tree in TREES.items()
+              for node in ast.walk(tree)
+              if geometry & {getattr(node, field, None)
+                             for field in ("id", "attr", "arg", "name")}}
+    assert namers == {"poly"}
 
 
 def test_one_squarefree_support_builder():

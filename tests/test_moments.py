@@ -10,15 +10,16 @@ import pytest
 
 from bhlab.arith import (chebyshev_psi, euler_phi, is_prime_u64,
                          sieve_primes, von_mangoldt, von_mangoldt_table)
-from bhlab import arith, moments
+from bhlab import arith, moments, poly
 from bhlab.budgets import DEFAULT_SCALAR_BUDGET, BudgetError
 from bhlab.eulerprod import truncated_bh_constant
 from bhlab.moments import (ap_error, bv_average, diagonal_term, lambda_terms,
                            negative_part, nondiagonal_term, psi, psi_abs,
                            second_moment, theta)
-from bhlab.poly import (CHUNK_SIZE, FamilySpec, IntPolynomial,
+from bhlab.poly import (CHUNK_SIZE, FamilySpec, IntPolynomial, chunk_ranges,
                         coefficient_chunks, eval_poly, iter_family,
                         residue_key, root_count_table, value_bound)
+from bhlab.cli import main as cli_main
 from conftest import fresh_python, random_polynomial
 
 LOG2, LOG3, LOG5, LOG7 = (math.log(p) for p in (2, 3, 5, 7))
@@ -428,10 +429,10 @@ class TestChunkMerge:
 
     @staticmethod
     def _peak_in_flight(monkeypatch, threads):
-        """The most chunks made and not yet reduced at once in a run of
-        second_moment on `threads` threads with slow workers, whose result
-        is checked against the one-thread run."""
-        real_chunks = moments.coefficient_chunks
+        """The most chunk ranges made and not yet reduced at once in a run
+        of second_moment on `threads` threads with slow workers, whose
+        result is checked against the one-thread run."""
+        real_chunks = moments.chunk_ranges
         real_stats = moments._chunk_stats
         lock = threading.Lock()
         seen = {"made": 0, "done": 0, "peak": 0}
@@ -451,7 +452,7 @@ class TestChunkMerge:
                 seen["done"] += 1
             return out
 
-        monkeypatch.setattr(moments, "coefficient_chunks", chunks)
+        monkeypatch.setattr(moments, "chunk_ranges", chunks)
         monkeypatch.setattr(moments, "_chunk_stats", stats)
         spec = FamilySpec(d=2, H=8)
         rep = second_moment(spec, 5, 5, threads=threads)
@@ -524,7 +525,8 @@ class TestHeadSharedKernel:
         """Every chunk's stats (the first `chunks` only, if given) against
         the row-wise oracle, for each psi variant and centering: by element
         gathers from the dense table and, for exhaustive chunks, by reads of
-        the extended table (boxes, or element gathers for small chunks)."""
+        the extended table (boxes, or element gathers for small chunks).
+        An exhaustive chunk goes to the kernel as its index range."""
         bound = value_bound(spec.d, spec.H, x)
         lam = von_mangoldt_table(bound)
         factors = moments._euler_factor_tables(spec.d, self.Z)
@@ -539,10 +541,11 @@ class TestHeadSharedKernel:
                 for center in ("bh", "none"):
                     want = _rowwise_chunk_stats(rows, x, lam, counts, kind,
                                                 center)
+                    chunk = rows if base is None else start + len(rows)
                     for table in reads:
-                        got = moments._chunk_stats(start, rows, base, x,
+                        got = moments._chunk_stats(start, chunk, spec, x,
                                                    table, factors, kind,
-                                                   center)
+                                                   center, threading.local())
                         assert got == want, (start, kind, center,
                                              type(table).__name__)
 
@@ -681,7 +684,7 @@ class TestHeadSharedKernel:
         assert boxed == []
         monkeypatch.setattr(moments, "_TILE", 16 * 64)
         self._assert_chunks_equal_oracle(FamilySpec(d=2, H=8), 64, 17, x=9)
-        assert {len(args[1]) for args in boxed} == {64}
+        assert {stop - start for start, stop, *_ in boxed} == {64}
         assert FamilySpec(d=2, H=8).visit_count % 64 == 8
 
     def test_threaded_exhaustive_memory_is_bounded(self):
@@ -720,12 +723,78 @@ class TestHeadSharedKernel:
                     moments._extended_table(top, "psi", pad)):
             tracemalloc.start()
             try:
-                moments._chunk_stats(start, rows, 2 * H + 1, x, lam, factors,
-                                     "psi", "bh")
+                moments._chunk_stats(start, start + len(rows), spec, x, lam,
+                                     factors, "psi", "bh", threading.local())
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < bound, type(lam).__name__
+
+
+class TestIndexRangeChunks:
+    """Exhaustive chunks reach the kernel as index ranges: no coefficient
+    row is decoded but the heads and each box's first row, and each worker
+    keeps one lane scratch for the whole run."""
+
+    # d = 2, H = 40: 262,440 rows in chunks of 65,536 = 809 heads of 81
+    # rows and 7 more, so the second chunk starts mid-head; four chunks
+    # take boxes, and the 296-row tail the element gather
+    SPEC, X = FamilySpec(d=2, H=40), 5
+
+    def test_geometry(self):
+        base, ranges = 2 * self.SPEC.H + 1, list(chunk_ranges(self.SPEC))
+        assert [stop - start for start, stop in ranges] == [CHUNK_SIZE] * 4 + [
+            296]
+        assert ranges[1][0] % base == 7
+        assert 296 < moments._TILE // 16 <= CHUNK_SIZE
+
+    def test_no_row_is_decoded(self, monkeypatch):
+        sizes = []
+        real = poly.exhaustive_rows
+
+        def spy(spec, idx):
+            sizes.append(len(idx))
+            return real(spec, idx)
+
+        monkeypatch.setattr(poly, "exhaustive_rows", spy)
+        monkeypatch.setattr(moments, "exhaustive_rows", spy)
+        second_moment(self.SPEC, self.X, 5)
+        heads = -(-CHUNK_SIZE // (2 * self.SPEC.H + 1)) + 1
+        assert sizes and max(sizes) <= heads
+        assert sum(sizes) < self.SPEC.family_size // 50
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_lane_scratch_per_worker(self, monkeypatch, threads):
+        held = []  # every array held after a call, kept alive so ids differ
+        real = moments._lane_scratch
+
+        def spy(per_thread, rows, cols):
+            out = real(per_thread, rows, cols)
+            held.append((threading.get_ident(), per_thread.scratch))
+            return out
+
+        monkeypatch.setattr(moments, "_lane_scratch", spy)
+        second_moment(self.SPEC, self.X, 5, threads=threads)
+        assert len(held) == 4  # one call per boxed chunk
+        workers = {ident for ident, _ in held}
+        arrays = {id(array): array for _, array in held}
+        assert 1 <= len(workers) <= threads
+        assert len(arrays) == len(workers)
+        shape = (moments._scratch_rows(self.X) + 1, moments._TILE)
+        assert {array.shape for array in arrays.values()} == {shape}
+
+    def test_raw_equals_oracle_at_every_thread_count(self):
+        bound = value_bound(self.SPEC.d, self.SPEC.H, self.X)
+        lam = von_mangoldt_table(bound)
+        factors = moments._euler_factor_tables(self.SPEC.d, 5)
+        counts = {ell: root_count_table(ell, self.SPEC.d) for ell in factors}
+        oracle = [_rowwise_chunk_stats(rows, self.X, lam, counts, "psi", "bh")
+                  for _, rows in coefficient_chunks(self.SPEC)]
+        want = {k: math.fsum(c[k] for c in oracle)
+                for k in moments.MomentReport.FIELDS}
+        for threads in (1, 2, 16):
+            assert second_moment(self.SPEC, self.X, 5,
+                                 threads=threads).raw == want, threads
 
 
 class TestLaneSum:
@@ -1140,6 +1209,20 @@ class TestPsiVariantSelection:
             second_moment(spec, 5, 3, abs_from_one=True)
         report = second_moment(spec, 5, 3, use_abs=True, abs_from_one=True)
         assert report.params["psi_variant"] == "abs_from_one"
+
+    def test_cli_and_library_share_the_pairing_check(self, monkeypatch):
+        # the CLI refuses --abs-from-one without --abs through psi_variant,
+        # before any grid point's limits
+        assert [moments.psi_variant(*flags) for flags in (
+            (False, False), (True, False), (True, True))] == [
+                "psi", "abs", "abs_from_one"]
+        seen = []
+        real = moments.psi_variant
+        monkeypatch.setattr(moments, "psi_variant",
+                            lambda *args: seen.append(args) or real(*args))
+        assert cli_main(["moment", "--d", "3", "--H", "1000", "--x", "1000",
+                         "--z", "2", "--abs-from-one"]) == 2
+        assert seen == [(False, True)]
 
 
 class TestPastTheLambdaLimit:

@@ -13,8 +13,8 @@ from bhlab import budgets, poly
 from bhlab.arith import is_prime_u64, primes_below
 from bhlab.budgets import BudgetError, LimitError
 from bhlab.poly import (CHUNK_SIZE, FamilySpec, IntPolynomial,
-                        _decode_exhaustive, coefficient_chunks,
-                        digit_columns, eval_poly, iter_family,
+                        chunk_ranges, coefficient_chunks, digit_columns,
+                        eval_poly, exhaustive_rows, iter_family,
                         local_root_counts, residue_key, root_count_table,
                         roots_count_mod_prime, roots_count_mod_squarefree,
                         traverse_family, value_bound)
@@ -346,10 +346,26 @@ class TestTraversal:
         total = spec.family_size
         for start, stop in ((0, total), (0, 1), (total - 1, total),
                             (total // 3, min(total, total // 3 + CHUNK_SIZE))):
-            got = _decode_exhaustive(spec, start, stop)
+            got = exhaustive_rows(spec, np.arange(start, stop,
+                                                  dtype=np.int64))
             want = column_by_column_decode(spec, start, stop)
             assert got.dtype == np.int64 and got.shape == want.shape
             assert (got == want).all()
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec(d=2, H=40),
+        FamilySpec(d=1, H=2, mode="montecarlo", sample_count=2 * CHUNK_SIZE,
+                   seed=3),
+    ], ids=["exhaustive", "montecarlo"])
+    def test_chunk_ranges_cut_the_chunks(self, spec):
+        # full chunks and a tail, in order; coefficient_chunks yields one
+        # chunk of rows per range
+        ranges = list(chunk_ranges(spec))
+        assert ranges[0][0] == 0 and ranges[-1][1] == spec.visit_count
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert all(stop - start == CHUNK_SIZE for start, stop in ranges[:-1])
+        assert [(start, start + len(rows)) for start, rows in
+                coefficient_chunks(spec)] == ranges
 
     def test_exhaustive_cardinality(self):
         count = traverse_family(FamilySpec(d=1, H=1), lambda acc, P: acc + 1, 0)
